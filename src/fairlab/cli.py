@@ -111,9 +111,7 @@ def cmd_ccs2lts(args) -> int:
 def cmd_liveness(args) -> int:
     lts = _load_lts_file(args.lts)
     assumption = _assumption(lts, args.assume)
-    stem, _, cycle = (args.bounds or "5,6").partition(",")
-    verdict = liveness(lts, named_goal(lts, args.goal), assumption,
-                       Bounds(int(stem), int(cycle or stem)), goal_name=args.goal)
+    verdict = liveness(lts, named_goal(lts, args.goal), assumption, goal_name=args.goal)
     print(json.dumps(verdict.to_json(), indent=2))
     return 0 if verdict.holds == "yes" else 1
 
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume", required=True,
                    help="P | just | J:y | W:y | S:y | SWI | Fu | ST | Pr | "
                         "x:custom=<tasks.json>, optionally ,reactive")
-    p.add_argument("--bounds", default=None, help="stem,cycle")
     p.set_defaults(func=cmd_liveness)
 
     p = sub.add_parser("tasks", help="extract or load a task collection")

@@ -8,11 +8,12 @@ can live on that transition's copy without ambiguity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .lts import AugmentedLTS, State, TaskSet, Transition
+from .lts import AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition
 from .paths import Lasso, PathError, enabled
 from .labels import TAU
+from .tasks import NOTIONS, extract_tasks
 
 
 class FormulaError(ValueError):
@@ -189,10 +190,29 @@ def _tokenize(text: str) -> list[str]:
 
 @dataclass
 class ConvertedLTS:
-    """States are the initial states plus the transitions of the input."""
+    """States are the initial states plus the transitions of the input.
+
+    `tasks` resolves the task names of atomic propositions: the input's own
+    task sets first, then every notion its annotations support, each
+    extracted once when the conversion is made.
+    """
 
     base: AugmentedLTS
     lts: AugmentedLTS
+    tasks: dict[str, Task] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.tasks = {}
+        for ts in self.base.tasks.values():
+            for t in ts.tasks:
+                self.tasks.setdefault(t.name, t)
+        for notion in NOTIONS:
+            try:
+                ts = extract_tasks(self.base, notion)
+            except AnnotationError:
+                continue
+            for t in ts.tasks:
+                self.tasks.setdefault(t.name, t)
 
     def holds(self, converted_state: str, prop: str) -> bool:
         """Atomic proposition validity on a converted state.
@@ -219,20 +239,11 @@ class ConvertedLTS:
             return state == arg
         raise FormulaError(f"unknown atomic proposition {prop!r}")
 
-    def _task(self, name: str):
-        for ts in self.base.tasks.values():
-            for t in ts.tasks:
-                if t.name == name:
-                    return t
-        notion = name.partition(":")[0]
-        if notion in ("A", "T", "I", "Z", "C", "G"):
-            from .lts import AnnotationError
-            from .tasks import extract_tasks
-            try:
-                return extract_tasks(self.base, notion).get(name)
-            except (KeyError, AnnotationError):
-                pass
-        raise FormulaError(f"unknown task {name!r} in atomic proposition")
+    def _task(self, name: str) -> Task:
+        try:
+            return self.tasks[name]
+        except KeyError:
+            raise FormulaError(f"unknown task {name!r} in atomic proposition") from None
 
 
 def ltl_convert(lts: AugmentedLTS) -> ConvertedLTS:
@@ -246,10 +257,9 @@ def ltl_convert(lts: AugmentedLTS) -> ConvertedLTS:
             transitions.append(Transition(f"c/{t.source}/{t.id}", f"s/{t.source}",
                                           f"t/{t.id}", TAU, None, None, False))
     for t in lts.transitions:
-        for u in lts.transitions:
-            if t.target == u.source:
-                transitions.append(Transition(f"c/{t.id}/{u.id}", f"t/{t.id}",
-                                              f"t/{u.id}", TAU, None, None, False))
+        for u in lts.outgoing(t.target):
+            transitions.append(Transition(f"c/{t.id}/{u.id}", f"t/{t.id}",
+                                          f"t/{u.id}", TAU, None, None, False))
     converted = AugmentedLTS(states, transitions, [f"s/{s}" for s in lts.initial],
                              origin="handwritten", truncated=lts.truncated)
     return ConvertedLTS(lts, converted)
@@ -273,68 +283,55 @@ def convert_lasso(conv: ConvertedLTS, lasso: Lasso) -> Lasso:
 
 
 def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
-    """Satisfaction on the infinite path denoted by a converted-system lasso,
-    computed over its finitely many suffix classes."""
+    """Satisfaction on the infinite path denoted by a converted-system lasso.
+
+    The path has one suffix class per stem position and one per cycle
+    position.  Every cycle class reaches every other, so F and G over the
+    cycle are one any/all, and the stem classes fold backwards from that
+    value: O(|formula| x |lasso|) time.  And/or chains are flattened, so
+    their length costs no Python stack.
+    """
     lasso.validate(conv.lts)
-    # suffix classes: one per stem position, one per cycle position
-    stem_states = [lasso.start]
-    for tid in lasso.stem:
-        stem_states.append(conv.lts.transition(tid).target)
-    entry = stem_states[-1]
-    cyc_states = [entry]
-    for tid in lasso.cycle[:-1]:
-        cyc_states.append(conv.lts.transition(tid).target)
-    classes = [("s", i) for i in range(len(lasso.stem))] + \
-              [("c", j) for j in range(len(lasso.cycle))]
-    state_of = {("s", i): stem_states[i] for i in range(len(lasso.stem))}
-    state_of.update({("c", j): cyc_states[j] for j in range(len(lasso.cycle))})
+    # the state of each suffix class: stem positions, then cycle positions
+    states = [lasso.start] + [conv.lts.transition(tid).target
+                              for tid in lasso.stem + lasso.cycle[:-1]]
+    m = len(lasso.stem)
 
-    def nxt(cls):
-        tag, k = cls
-        if tag == "s":
-            return ("s", k + 1) if k + 1 < len(lasso.stem) else ("c", 0)
-        return ("c", (k + 1) % len(lasso.cycle))
-
-    reach: dict[tuple, set[tuple]] = {}
-    for cls in classes:
-        seen = {cls}
-        cur = cls
-        while True:
-            cur = nxt(cur)
-            if cur in seen:
-                break
-            seen.add(cur)
-        reach[cls] = seen
-
-    def sat(f: Formula) -> dict[tuple, bool]:
-        if f.op == "true":
-            return {c: True for c in classes}
-        if f.op == "false":
-            return {c: False for c in classes}
-        if f.op == "atom":
-            return {c: conv.holds(state_of[c], f.atom) for c in classes}
-        if f.op == "not":
-            inner = sat(f.left)
-            return {c: not inner[c] for c in classes}
-        if f.op == "and":
-            a_, b = sat(f.left), sat(f.right)
-            return {c: a_[c] and b[c] for c in classes}
-        if f.op == "or":
-            a_, b = sat(f.left), sat(f.right)
-            return {c: a_[c] or b[c] for c in classes}
-        if f.op == "implies":
-            a_, b = sat(f.left), sat(f.right)
-            return {c: (not a_[c]) or b[c] for c in classes}
-        if f.op == "F":
-            inner = sat(f.left)
-            return {c: any(inner[d] for d in reach[c]) for c in classes}
-        if f.op == "G":
-            inner = sat(f.left)
-            return {c: all(inner[d] for d in reach[c]) for c in classes}
+    def sat(f: Formula) -> list[bool]:
+        op = f.op
+        if op in ("true", "false"):
+            return [op == "true"] * len(states)
+        if op == "atom":
+            return [conv.holds(s, f.atom) for s in states]
+        if op == "not":
+            return [not v for v in sat(f.left)]
+        if op == "implies":
+            return [not a_ or b for a_, b in zip(sat(f.left), sat(f.right))]
+        if op in ("and", "or"):
+            combine = all if op == "and" else any
+            return [combine(vs) for vs in zip(*[sat(g) for g in _chain(f)])]
+        if op in ("F", "G"):
+            combine = any if op == "F" else all
+            out = sat(f.left)
+            out[m:] = [combine(out[m:])] * (len(out) - m)
+            for i in range(m - 1, -1, -1):
+                out[i] = combine((out[i], out[i + 1]))
+            return out
         raise FormulaError(f"unknown operator {f.op}")
 
-    start_class = ("s", 0) if lasso.stem else ("c", 0)
-    return sat(formula)[start_class]
+    return sat(formula)[0]
+
+
+def _chain(f: Formula) -> list[Formula]:
+    """The operands, left to right, of the maximal chain of f.op rooted at f."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if g.op == f.op:
+            todo += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
 
 
 def weak_fairness_formula(ts: TaskSet) -> Formula:

@@ -509,11 +509,3 @@ def isomorphic(a: AugmentedLTS, b: AugmentedLTS) -> bool:
     """Id-preserving structural equality (the round-trip contract)."""
     return save_lts(a) == save_lts(b)
 
-
-def restricted(lts: AugmentedLTS, keep_states: set[str]) -> AugmentedLTS:
-    """Sub-LTS induced by keep_states (initial states intersected)."""
-    states = [s for s in lts.states if s.id in keep_states]
-    trans = [t for t in lts.transitions
-             if t.source in keep_states and t.target in keep_states]
-    initial = [s for s in lts.initial if s in keep_states] or [states[0].id]
-    return AugmentedLTS(states, trans, initial, {}, {}, lts.origin, lts.truncated)

@@ -87,7 +87,7 @@ def agef(lts: AugmentedLTS, goal: frozenset[str], reactive: bool = False) -> boo
 # ---------------------------------------------------------------------------
 
 def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
-             bounds: Bounds | None = None, goal_name: str = "") -> Verdict:
+             goal_name: str = "") -> Verdict:
     """holds=yes iff no assumption-fair complete rooted path avoids the goal.
 
     Finite counterexamples are complete finite paths inside the goal-avoiding
@@ -272,7 +272,7 @@ def _is_strongly_connected(cset: set[str], succ) -> bool:
     return edges
 
 
-def _covering_cycle(lts: AugmentedLTS, cset: set[str], edges: list, entry: str):
+def _covering_cycle(edges: list, entry: str):
     """A closed walk from `entry` through the induced subgraph taking every
     induced transition at least once."""
     by_src: dict[str, list] = {}
@@ -326,14 +326,10 @@ def _fair_cycle_witness(lts: AugmentedLTS, region: set[str], region_out,
             if not edges:
                 continue
             entry = cset_list[0]
-            cycle = _covering_cycle(lts, cset, edges, entry)
+            cycle = _covering_cycle(edges, entry)
             # quick cycle-level test with an empty stem anchored at the entry
             probe = Lasso(entry, (), tuple(cycle))
-            try:
-                cycle_ok = classify_lasso(lts, probe, assumption)
-            except AnnotationError:
-                raise
-            if not cycle_ok:
+            if not classify_lasso(lts, probe, assumption):
                 continue
             stem = _find_stem(lts, region, cset, entry, cycle, assumption)
             if stem is None:

@@ -65,6 +65,9 @@ def test_liveness_mutex_custom_tasks(tmp_path, capsys):
     weak = json.loads(capsys.readouterr().out)
     assert code == 1 and weak["holds"] == "no"
     assert weak["witness"]["cycle"]
+    # liveness is exact and takes no bounds: the flag is a usage error
+    assert main(["liveness", str(lts), "--goal", "crit", "--assume", "P",
+                 "--bounds", "x"]) == 2
 
 
 def test_liveness_phone_justness(tmp_path, capsys):

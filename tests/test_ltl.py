@@ -7,14 +7,15 @@ import random
 import pytest
 
 from fairlab.corpus import build_all, t_by
-from fairlab.lts import from_exploration
-from fairlab.ltl import (FormulaError, G,atom, convert_lasso, eval_ltl,
+from fairlab.lts import AnnotationError, from_exploration
+from fairlab.ltl import (FormulaError, Formula, G, atom, convert_lasso, eval_ltl,
                          implies, ltl_convert, parse_formula,
                          strong_fairness_formula, weak_fairness_formula, F)
 from fairlab.parser import parse_ccs
-from fairlab.paths import Assumption, Lasso, classify_lasso
+from fairlab.paths import Assumption, Lasso, classify_lasso, enabled
 from fairlab.semantics import explore
 from fairlab.tasks import extract_tasks
+from fairlab.verify import rooted_walks, simple_cycles_at
 
 
 def _built(pattern):
@@ -136,7 +137,6 @@ def test_ltl_agreement_with_direct_classification():
         for built in build_all(pattern):
             lts = built.lts
             conv = ltl_convert(lts)
-            from fairlab.verify import rooted_walks, simple_cycles_at
             walks = rooted_walks(lts, 3)
             for entry in sorted(walks):
                 start, steps = walks[entry][0]
@@ -152,3 +152,155 @@ def test_ltl_agreement_with_direct_classification():
                                                     weak_fairness_formula(ts))
                         assert direct_s == eval_ltl(conv, classo,
                                                     strong_fairness_formula(ts))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the linear evaluator against the per-class reachability
+# evaluator it replaced, kept here as the oracle.
+# ---------------------------------------------------------------------------
+
+def _oracle_task(lts, name):
+    """Task resolution by linear search: the system's task sets first, then
+    the notion named by the prefix."""
+    for ts in lts.tasks.values():
+        for t in ts.tasks:
+            if t.name == name:
+                return t
+    notion = name.partition(":")[0]
+    if notion in ("A", "T", "I", "Z", "C", "G"):
+        try:
+            return extract_tasks(lts, notion).get(name)
+        except (KeyError, AnnotationError):
+            pass
+    raise FormulaError(f"unknown task {name!r} in atomic proposition")
+
+
+def _oracle_holds(lts, converted_state, prop):
+    kind, _, arg = prop.partition(":")
+    is_transition = converted_state.startswith("t/")
+    underlying = converted_state[2:]
+    state = lts.transition(underlying).target if is_transition else underlying
+    if kind == "occurs":
+        return is_transition and underlying in _oracle_task(lts, arg).members
+    if kind == "enabled":
+        return enabled(lts, _oracle_task(lts, arg), state)
+    if kind == "state":
+        return state == arg
+    raise FormulaError(f"unknown atomic proposition {prop!r}")
+
+
+def _oracle_eval(conv, lasso, formula):
+    """One reachability set per suffix class; F and G quantify over it."""
+    lasso.validate(conv.lts)
+    stem_states = [lasso.start] + [conv.lts.transition(t).target for t in lasso.stem]
+    cyc_states = [stem_states[-1]] + [conv.lts.transition(t).target
+                                      for t in lasso.cycle[:-1]]
+    classes = [("s", i) for i in range(len(lasso.stem))] + \
+              [("c", j) for j in range(len(lasso.cycle))]
+    state_of = {("s", i): stem_states[i] for i in range(len(lasso.stem))}
+    state_of.update({("c", j): cyc_states[j] for j in range(len(lasso.cycle))})
+
+    def nxt(cls):
+        tag, k = cls
+        if tag == "s":
+            return ("s", k + 1) if k + 1 < len(lasso.stem) else ("c", 0)
+        return ("c", (k + 1) % len(lasso.cycle))
+
+    reach = {}
+    for cls in classes:
+        seen, cur = {cls}, nxt(cls)
+        while cur not in seen:
+            seen.add(cur)
+            cur = nxt(cur)
+        reach[cls] = seen
+
+    def sat(f):
+        if f.op in ("true", "false"):
+            return {c: f.op == "true" for c in classes}
+        if f.op == "atom":
+            return {c: _oracle_holds(conv.base, state_of[c], f.atom) for c in classes}
+        if f.op == "not":
+            inner = sat(f.left)
+            return {c: not inner[c] for c in classes}
+        if f.op in ("and", "or", "implies"):
+            a_, b = sat(f.left), sat(f.right)
+            if f.op == "and":
+                return {c: a_[c] and b[c] for c in classes}
+            if f.op == "or":
+                return {c: a_[c] or b[c] for c in classes}
+            return {c: (not a_[c]) or b[c] for c in classes}
+        inner = sat(f.left)
+        quantifier = any if f.op == "F" else all
+        return {c: quantifier(inner[d] for d in reach[c]) for c in classes}
+
+    return sat(formula)[("s", 0) if lasso.stem else ("c", 0)]
+
+
+def _random_formula(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.25:
+        pick = rng.random()
+        if pick < 0.1:
+            return Formula(rng.choice(("true", "false")))
+        return atom(rng.choice(atoms))
+    op = rng.choice(("not", "and", "or", "implies", "F", "G"))
+    if op in ("not", "F", "G"):
+        return Formula(op, left=_random_formula(rng, atoms, depth - 1))
+    return Formula(op, left=_random_formula(rng, atoms, depth - 1),
+                   right=_random_formula(rng, atoms, depth - 1))
+
+
+def test_linear_eval_matches_reachability_oracle():
+    rng = random.Random(2018)
+    compared = errors = empty_stems = unit_cycles = 0
+    for built in build_all():
+        lts = built.lts
+        if lts.truncated:
+            continue
+        conv = ltl_convert(lts)
+        names = {t.name for ts in lts.tasks.values() for t in ts.tasks} | {"T:missing"}
+        for notion in ("A", "T", "I", "Z", "C", "G"):
+            try:
+                names.update(extract_tasks(lts, notion).names())
+            except AnnotationError:
+                pass
+        names = sorted(names)
+        atoms = ([f"{kind}:{n}" for kind in ("enabled", "occurs") for n in names]
+                 + [f"state:{s}" for s in lts.state_ids()[:4]])
+        walks = rooted_walks(lts, 3)
+        lassos = [Lasso(start, steps, cycle)
+                  for entry in sorted(walks)
+                  for start, steps in walks[entry][:3]
+                  for cycle in simple_cycles_at(lts, entry, 4)]
+        for lasso in rng.sample(lassos, min(12, len(lassos))):
+            empty_stems += not lasso.stem
+            unit_cycles += len(lasso.cycle) == 1
+            classo = convert_lasso(conv, lasso)
+            for _ in range(8):
+                formula = _random_formula(rng, atoms, 4)
+                try:
+                    expected = _oracle_eval(conv, classo, formula)
+                except FormulaError:
+                    with pytest.raises(FormulaError):
+                        eval_ltl(conv, classo, formula)
+                    errors += 1
+                    continue
+                assert eval_ltl(conv, classo, formula) == expected, (lasso, str(formula))
+                compared += 1
+    assert compared > 1000 and errors > 0 and empty_stems > 0 and unit_cycles > 0
+
+
+def test_weak_fairness_of_many_tasks_needs_no_deep_recursion():
+    # grid(8): eight independent components X = a.X + b.0, 2,048 transitions,
+    # so the T-notion conjunction is a chain of 2,048 conjuncts
+    n = 8
+    source = (" | ".join(f"X{i}" for i in range(n)) + " where "
+              + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
+    lts = from_exploration(explore(parse_ccs(source)))
+    ts = extract_tasks(lts, "T")
+    assert len(ts.tasks) == 2048
+    conv = ltl_convert(lts)
+    init = lts.initial[0]
+    loop = t_by(lts, source=init, label="a0")
+    lasso = convert_lasso(conv, Lasso(init, (), (loop,)))
+    # the b-steps stay enabled along the a0 self-loop and never occur
+    assert not eval_ltl(conv, lasso, weak_fairness_formula(ts))
