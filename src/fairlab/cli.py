@@ -165,8 +165,12 @@ def cmd_hierarchy(args) -> int:
     stronger = _assumption(lts, args.stronger)
     weaker = _assumption(lts, args.weaker)
     stem, _, cycle = (args.bounds or "5,6").partition(",")
-    report = hierarchy_check(lts, stronger, weaker, Bounds(int(stem), int(cycle or stem)),
-                             tuple(args.requires or ()))
+    try:
+        bounds = Bounds(int(stem), int(cycle or stem))
+    except ValueError:
+        raise SystemExit2(f"--bounds needs STEM[,CYCLE] integers, "
+                          f"not {args.bounds!r}") from None
+    report = hierarchy_check(lts, stronger, weaker, bounds, tuple(args.requires or ()))
     doc = {"stronger": report.stronger, "weaker": report.weaker,
            "checked": report.checked, "skipped": report.skipped,
            "violations": [{"start": v.start, "stem": list(v.stem),

@@ -75,9 +75,17 @@ def G(f: Formula) -> Formula:  # noqa: N802
     return Formula("G", left=f)
 
 
+# Deepest nesting parse_formula accepts: each !, F, G, parenthesis and
+# implication adds a level.  Evaluation recurses once per level, and
+# and/or chains add none.
+MAX_NESTING = 100
+
+
 def parse_formula(text: str) -> Formula:
     """Grammar: p | !f | f & g | f "|" g | f -> g | F f | G f | (f) | true |
-    false, with atoms of the shape name(argument) or bare identifiers."""
+    false, with atoms of the shape name(argument) or bare identifiers.
+    Prefix chains are read without recursion; nesting deeper than
+    MAX_NESTING is a FormulaError."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -90,53 +98,54 @@ def parse_formula(text: str) -> Formula:
             raise FormulaError(f"expected {tok!r}, found {peek() or 'end'!r}")
         pos += 1
 
-    def parse_implies() -> Formula:
-        left = parse_or()
+    def parse_implies(depth: int) -> Formula:
+        left = parse_or(depth)
         if peek() == "->":
             eat("->")
-            return implies(left, parse_implies())
+            return implies(left, parse_implies(depth + 1))
         return left
 
-    def parse_or() -> Formula:
-        left = parse_and()
+    def parse_or(depth: int) -> Formula:
+        left = parse_and(depth)
         while peek() == "|":
             eat("|")
-            left = disj(left, parse_and())
+            left = disj(left, parse_and(depth))
         return left
 
-    def parse_and() -> Formula:
-        left = parse_unary()
+    def parse_and(depth: int) -> Formula:
+        left = parse_unary(depth)
         while peek() == "&":
             eat("&")
-            left = Formula("and", left=left, right=parse_unary())
+            left = Formula("and", left=left, right=parse_unary(depth))
         return left
 
-    def parse_unary() -> Formula:
+    def parse_unary(depth: int) -> Formula:
         nonlocal pos
-        t = peek()
-        if t == "!":
-            eat("!")
-            return neg(parse_unary())
-        if t in ("F", "G"):
+        ops = []
+        while peek() in ("!", "F", "G"):
+            ops.append(peek())
             pos += 1
-            return Formula(t, left=parse_unary())
+        depth += len(ops)
+        if depth > MAX_NESTING:
+            raise FormulaError(f"formula nested deeper than {MAX_NESTING} levels")
+        t = peek()
         if t == "(":
             eat("(")
-            f = parse_implies()
+            f = parse_implies(depth + 1)
             eat(")")
-            return f
-        if t == "true":
+        elif t in ("true", "false"):
             pos += 1
-            return true()
-        if t == "false":
+            f = Formula(t)
+        elif t and t not in ("&", "|", "->", ")"):
             pos += 1
-            return Formula("false")
-        if t and t not in ("&", "|", "->", ")", "!"):
-            pos += 1
-            return atom(t)
-        raise FormulaError(f"unexpected {t or 'end of formula'!r}")
+            f = atom(t)
+        else:
+            raise FormulaError(f"unexpected {t or 'end of formula'!r}")
+        for op in reversed(ops):
+            f = neg(f) if op == "!" else Formula(op, left=f)
+        return f
 
-    f = parse_implies()
+    f = parse_implies(0)
     if pos != len(tokens):
         raise FormulaError(f"trailing input {tokens[pos]!r}")
     return f

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .labels import ActionLabel, parse_label
 from .syntax import Expr, print_expr, project
@@ -54,6 +55,15 @@ class TaskSet:
             if t.name == name:
                 return t
         raise KeyError(name)
+
+    @cached_property
+    def containing(self) -> dict[str, tuple[int, ...]]:
+        """Transition id -> ascending indices of the tasks that contain it."""
+        out: dict[str, tuple[int, ...]] = {}
+        for k, task in enumerate(self.tasks):
+            for tid in task.members:
+                out[tid] = out.get(tid, ()) + (k,)
+        return out
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,11 @@ class AugmentedLTS:
         for t in self.transitions:
             self._out[t.source].append(t)
         self._expr_cache: dict[str, Expr] = {}
+        # memos of paths.requested (what a component can fire, by state and
+        # component path; None when absent) and of validate_side_conditions
+        self._requests: dict[tuple[str, str], frozenset[str] | None] = {}
+        self._ccs_cmp: dict[str, str] | None = None
+        self._conditions: tuple[ConditionReport, ...] | None = None
 
     # -- access helpers ----------------------------------------------------
 
@@ -329,17 +344,19 @@ class ConditionReport:
     detail: str = ""
 
 
-def _requested_fn(lts: AugmentedLTS):
-    from .paths import requested
-    return lambda i, sid: requested(lts, i, sid)
-
-
 def validate_side_conditions(lts: AugmentedLTS) -> list[ConditionReport]:
     """Check conditions (1)-(6), persistence (#), and interference reflexivity.
 
     Exhaustive only for non-truncated systems; a truncated system yields a
-    bounded report (checked over the explored part).
+    bounded report (checked over the explored part).  Computed once per
+    system; each call returns a fresh list.
     """
+    if lts._conditions is None:
+        lts._conditions = tuple(_validate(lts))
+    return list(lts._conditions)
+
+
+def _validate(lts: AugmentedLTS) -> list[ConditionReport]:
     out: list[ConditionReport] = []
     has_instr = all(t.instr is not None for t in lts.transitions)
     has_comp = all(t.comp is not None for t in lts.transitions)
@@ -373,7 +390,7 @@ def validate_side_conditions(lts: AugmentedLTS) -> list[ConditionReport]:
 
     # (4)/(5) requested-ness conditions (ccs origin only)
     if lts.origin == "ccs" and has_expr and has_instr and has_comp:
-        req = _requested_fn(lts)
+        from .paths import requested
         holds4, detail4 = True, ""
         holds5, detail5 = True, ""
         instrs = lts.instructions()
@@ -381,7 +398,7 @@ def validate_side_conditions(lts: AugmentedLTS) -> list[ConditionReport]:
         for sid in lts.state_ids():
             enabled_instr = {i for t in lts.outgoing(sid) for i in t.instr}
             for i in sorted(enabled_instr):
-                if not req(i, sid):
+                if not requested(lts, i, sid):
                     holds4, detail4 = False, f"instruction {i} enabled but not requested in {sid}"
                     break
             if not holds4:
@@ -391,12 +408,12 @@ def validate_side_conditions(lts: AugmentedLTS) -> list[ConditionReport]:
                 if cmp_map.get(i) is None:
                     continue
                 try:
-                    if not req(i, sid):
+                    if not requested(lts, i, sid):
                         continue
                 except Exception:
                     continue
                 for u in lts.outgoing(sid):
-                    if cmp_map[i] not in u.comp and not req(i, u.target):
+                    if cmp_map[i] not in u.comp and not requested(lts, i, u.target):
                         holds5 = False
                         detail5 = f"instruction {i} requested in {sid} but not after {u.id}"
                         break

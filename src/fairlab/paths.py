@@ -172,19 +172,31 @@ def instr_enabled(lts: AugmentedLTS, instruction: str, state: str,
                for t in lts.outgoing(state))
 
 
+def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
+                  reactive: bool = False) -> set[int]:
+    """Indices of the tasks of ts enabled in the state: one lookup per
+    outgoing transition."""
+    return {k for t in lts.outgoing(state) if _eligible(lts, t, reactive)
+            for k in ts.containing.get(t.id, ())}
+
+
 def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
     """An instruction is requested when its component, viewed in isolation,
-    can fire it (no restriction context applies)."""
+    can fire it (no restriction context applies).  What each component can
+    fire in each state is computed once per system."""
     from .semantics import step
     from .syntax import project
-    cmp_map = _ccs_cmp_map(lts)
-    if instruction not in cmp_map:
+    path = _ccs_cmp_map(lts).get(instruction)
+    if path is None:
         raise AnnotationError(f"unknown instruction {instruction!r}")
-    comp = project(lts.state_expr(state), cmp_map[instruction])
-    if comp is None:
-        raise AnnotationError(
-            f"component {cmp_map[instruction]!r} absent in state {state}")
-    return any(instruction in s.instr for s in step(comp))
+    if (state, path) not in lts._requests:
+        comp = project(lts.state_expr(state), path)
+        lts._requests[state, path] = (None if comp is None else
+                                      frozenset(i for s in step(comp) for i in s.instr))
+    fires = lts._requests[state, path]
+    if fires is None:
+        raise AnnotationError(f"component {path!r} absent in state {state}")
+    return instruction in fires
 
 
 def _requested_quiet(lts: AugmentedLTS, instruction: str, state: str) -> bool:
@@ -196,14 +208,12 @@ def _requested_quiet(lts: AugmentedLTS, instruction: str, state: str) -> bool:
 
 def _ccs_cmp_map(lts: AugmentedLTS) -> dict[str, str]:
     """cmp over instructions, recovered from the initial state expression."""
-    cached = getattr(lts, "_ccs_cmp", None)
-    if cached is None:
+    if lts._ccs_cmp is None:
         if lts.origin != "ccs":
             raise AnnotationError("instruction projection needs a ccs-origin system")
         from .syntax import cmp_table
-        cached = cmp_table(lts.state_expr(lts.initial[0]))
-        lts._ccs_cmp = cached
-    return cached
+        lts._ccs_cmp = cmp_table(lts.state_expr(lts.initial[0]))
+    return lts._ccs_cmp
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +228,12 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     enabled on a suffix iff enabled at every recurring state, and occurs
     infinitely often iff it meets the cycle.  Justness additionally owes an
     interference to every transition enabled along the stem.
+
+    For J/W/S the enabled tasks of each cycle state are read off the task
+    set's membership table, so the cost is the cycle's length plus the
+    out-degrees of its states, times the tasks per transition, not
+    |tasks| x |cycle|.  J then checks enabled-during for the few tasks that
+    are enabled at every cycle state and do not occur, in task order.
     """
     if not assumption.pathwise():
         raise ValueError(f"{assumption.kind} is a liveness-level assumption, "
@@ -228,13 +244,11 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     if kind == "P":
         return True
     cyc_states = sorted(lasso.cycle_states(lts))
-    cyc_trans = frozenset(lasso.cycle)
     if kind == "Just":
         return _just_lasso(lts, lasso, reactive)
     if kind == "SWI":
         for i in _all_instructions(lts):
-            occurs = any(i in lts.instr_of(t) for t in cyc_trans)
-            if occurs:
+            if any(i in lts.instr_of(t) for t in lasso.cycle):
                 continue
             requested_everywhere = all(_requested_quiet(lts, i, s) for s in cyc_states)
             enabled_somewhere = any(instr_enabled(lts, i, s, reactive) for s in cyc_states)
@@ -242,23 +256,15 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
                 return False
         return True
     ts = resolve_tasks(lts, assumption)
-    for task in ts.tasks:
-        if task.members & cyc_trans:
-            continue
-        per_state = [enabled(lts, task, s, reactive) for s in cyc_states]
-        if kind == "W":
-            if all(per_state):
-                return False
-        elif kind == "S":
-            if any(per_state):
-                return False
-        elif kind == "J":
-            if all(per_state) and all(enabled_during(lts, task, u, reactive)
-                                      for u in cyc_trans):
-                return False
-        else:
-            raise AssertionError(kind)
-    return True
+    occurring = {k for u in lasso.cycle for k in ts.containing.get(u, ())}
+    per_state = [enabled_tasks(lts, ts, s, reactive) - occurring for s in cyc_states]
+    if kind == "S":
+        return not set().union(*per_state)
+    perpetual = set.intersection(*per_state)  # enabled at every cycle state, never taken
+    if kind == "J":
+        return not any(all(enabled_during(lts, ts.tasks[k], u, reactive) for u in lasso.cycle)
+                       for k in sorted(perpetual))
+    return not perpetual
 
 
 def _just_lasso(lts: AugmentedLTS, lasso: Lasso, reactive: bool) -> bool:
@@ -307,7 +313,7 @@ def classify_finite(lts: AugmentedLTS, prefix: PathPrefix, assumption: Assumptio
     if assumption.kind == "SWI":
         return not any(t.instr for t in outs)
     ts = resolve_tasks(lts, assumption)
-    return not any(enabled(lts, task, last, reactive) for task in ts.tasks)
+    return not any(t.id in ts.containing for t in outs)
 
 
 def _all_instructions(lts: AugmentedLTS) -> list[str]:

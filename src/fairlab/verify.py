@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .lts import AnnotationError, AugmentedLTS, TaskSet
 from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
-                    classify_lasso)
+                    classify_lasso, enabled_tasks)
 
 
 @dataclass
@@ -450,12 +450,11 @@ class _Queue:
 
 def _scheduler_run(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
     """Generator of scheduler steps: yields (state, queue) before each pick."""
-    from .paths import enabled
     queue = _Queue()
     at = prefix.end(lts)
     steps = list(prefix.steps)
     while True:
-        enabled_now = {t.name for t in ts.tasks if enabled(lts, t, at)}
+        enabled_now = {ts.tasks[k].name for k in enabled_tasks(lts, ts, at)}
         if not enabled_now:
             yield at, queue, steps, None
             return

@@ -1,0 +1,209 @@
+"""Differential tests of the table-driven classifier and the requested table.
+
+The oracles are the per-task scans the classifier replaced: every task of
+the collection is tested at every cycle state with `enabled`, and
+`requested` projects and steps the state expression on every query.  The
+oracle walks the cycle in cycle order, as the classifier does; the scans
+it copies walked a frozenset of the cycle's transitions, whose order (and
+so which AnnotationError a partially annotated system raised first, if
+any) depended on string hashing.
+"""
+
+from __future__ import annotations
+
+import random
+
+from fairlab.corpus import build_all
+from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
+                         Transition, from_exploration, load_lts, save_lts,
+                         validate_side_conditions)
+from fairlab.labels import parse_label
+from fairlab.parser import parse_ccs
+from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
+                           classify_lasso, enabled, enabled_during,
+                           instr_enabled, requested, resolve_tasks)
+from fairlab.semantics import explore, step
+from fairlab.syntax import cmp_table, project
+from fairlab.verify import Bounds, rooted_walks, simple_cycles_at
+
+NOTIONS = ("A", "T", "I", "Z", "C", "G")
+BOUNDS = Bounds(2, 3)
+
+
+def _direct_requested(lts, instruction, state):
+    cmp_map = cmp_table(lts.state_expr(lts.initial[0]))
+    if instruction not in cmp_map:
+        raise AnnotationError(f"unknown instruction {instruction!r}")
+    comp = project(lts.state_expr(state), cmp_map[instruction])
+    if comp is None:
+        raise AnnotationError(f"component {cmp_map[instruction]!r} absent in state {state}")
+    return any(instruction in s.instr for s in step(comp))
+
+
+def _direct_requested_quiet(lts, instruction, state):
+    try:
+        if lts.origin != "ccs":
+            raise AnnotationError("instruction projection needs a ccs-origin system")
+        return _direct_requested(lts, instruction, state)
+    except AnnotationError:
+        return False
+
+
+def _oracle_lasso(lts, lasso, assumption):
+    """J/W/S and SWI by one scan per task (per instruction) of the cycle."""
+    lasso.validate(lts)
+    reactive = assumption.reactive
+    cyc_states = sorted(lasso.cycle_states(lts))
+    if assumption.kind == "SWI":
+        instrs = lts.instructions()
+        if not instrs:
+            raise AnnotationError("system carries no instruction annotations")
+        for i in instrs:
+            if any(i in lts.instr_of(t) for t in lasso.cycle):
+                continue
+            if (all(_direct_requested_quiet(lts, i, s) for s in cyc_states)
+                    and any(instr_enabled(lts, i, s, reactive) for s in cyc_states)):
+                return False
+        return True
+    for task in resolve_tasks(lts, assumption).tasks:
+        if task.members & set(lasso.cycle):
+            continue
+        per_state = [enabled(lts, task, s, reactive) for s in cyc_states]
+        if assumption.kind == "W" and all(per_state):
+            return False
+        if assumption.kind == "S" and any(per_state):
+            return False
+        if assumption.kind == "J" and all(per_state) and all(
+                enabled_during(lts, task, u, reactive) for u in lasso.cycle):
+            return False
+    return True
+
+
+def _oracle_finite(lts, prefix, assumption):
+    prefix.validate(lts)
+    last = prefix.end(lts)
+    if assumption.kind == "SWI":
+        return not any(t.instr for t in lts.outgoing(last)
+                       if not (assumption.reactive and t.blocking))
+    return not any(enabled(lts, task, last, assumption.reactive)
+                   for task in resolve_tasks(lts, assumption).tasks)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AnnotationError as exc:
+        return f"AnnotationError: {exc}"
+
+
+def _assumptions(lts, extra=()):
+    tasksets = [(y, None) for y in NOTIONS]
+    tasksets += [("custom", ts) for _, ts in sorted(lts.tasks.items())]
+    tasksets += [("custom", ts) for ts in extra]
+    out = [Assumption("SWI", reactive=r) for r in (False, True)]
+    for kind in "JWS":
+        for notion, ts in tasksets:
+            for reactive in (False, True):
+                out.append(Assumption(kind, notion, ts, reactive))
+    return out
+
+
+def _rooted_lassos(lts, stems):
+    """Rooted lassos within BOUNDS, with up to `stems` stems per cycle."""
+    walks = rooted_walks(lts, BOUNDS.stem)
+    return [Lasso(start, steps, cycle)
+            for entry in sorted(walks)
+            for cycle in simple_cycles_at(lts, entry, BOUNDS.cycle)
+            for start, steps in walks[entry][:stems]]
+
+
+def _compare(lts, assumptions, tally, stems=None):
+    for lasso in _rooted_lassos(lts, stems):
+        for a in assumptions:
+            got = _outcome(classify_lasso, lts, lasso, a)
+            assert got == _outcome(_oracle_lasso, lts, lasso, a), (lasso, str(a))
+            tally[got if isinstance(got, bool) else "error"] += 1
+    for sid in lts.state_ids():
+        for a in assumptions:
+            got = _outcome(classify_finite, lts, PathPrefix(sid), a)
+            assert got == _outcome(_oracle_finite, lts, PathPrefix(sid), a), (sid, str(a))
+            tally["finite"] += 1
+
+
+def test_classifier_matches_per_task_scan_on_corpus():
+    tally = {True: 0, False: 0, "error": 0, "finite": 0}
+    systems = 0
+    for built in build_all():
+        lts = built.lts
+        if lts.truncated:
+            continue
+        systems += 1
+        _compare(lts, _assumptions(lts), tally)
+    assert systems > 20
+    assert tally[True] > 1000 and tally[False] > 1000 and tally["finite"] > 1000
+    assert tally["error"] > 0  # I/Z/C/G on systems without instr/comp
+
+
+def _random_system(rng, instr_missing, comp_missing) -> AugmentedLTS:
+    n = rng.randint(1, 4)
+    states = [State(f"s{k}", None) for k in range(n)]
+    transitions = []
+    for k in range(rng.randint(1, 7)):
+        instr = frozenset(rng.sample(["i1", "i2", "i3"], rng.randint(1, 2)))
+        comp = frozenset(rng.sample(["L", "R", "M"], rng.randint(1, 2)))
+        transitions.append(Transition(
+            f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
+            parse_label(rng.choice(["a", "b", "'a", "tau"])),
+            None if rng.random() < instr_missing else instr,
+            None if rng.random() < comp_missing else comp,
+            rng.random() < 0.5))
+    return AugmentedLTS(states, transitions, ["s0"])
+
+
+def test_classifier_matches_per_task_scan_on_random_systems():
+    rng = random.Random(1810)
+    tally = {True: 0, False: 0, "error": 0, "finite": 0}
+    for instr_missing, comp_missing in ((0, 0), (0.3, 0), (0, 0.3), (0.3, 0.3), (1, 1)):
+        for _ in range(25):
+            lts = _random_system(rng, instr_missing, comp_missing)
+            tids = [t.id for t in lts.transitions]
+            custom = TaskSet("custom", tuple(
+                Task(f"c{k}", frozenset(rng.sample(tids, rng.randint(0, len(tids)))))
+                for k in range(3)))
+            # only justness looks at the stem, so one stem per cycle will do
+            _compare(lts, _assumptions(lts, (custom,)), tally, stems=1)
+    assert tally[True] > 1000 and tally[False] > 1000 and tally["error"] > 1000
+
+
+def _grid(n):
+    return (" | ".join(f"X{i}" for i in range(n)) + " where "
+            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
+
+
+def _ring(k):
+    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
+
+
+def test_requested_table_matches_projection():
+    systems = [b.lts for b in build_all() if b.lts.origin == "ccs"]
+    systems += [from_exploration(explore(parse_ccs(src))) for src in (_ring(6), _grid(4))]
+    answers = {True: 0, False: 0, "error": 0}
+    for lts in systems:
+        for i in lts.instructions() + ["no-such-instruction"]:
+            for sid in lts.state_ids():
+                got = _outcome(requested, lts, i, sid)
+                assert got == _outcome(_direct_requested, lts, i, sid), (i, sid)
+                answers[got if isinstance(got, bool) else "error"] += 1
+    assert answers[True] > 100 and answers[False] > 100 and answers["error"] > 100
+
+
+def test_side_condition_reports_are_fresh_copies():
+    for built in build_all("ex-7.1-clerk") + build_all("ex-12.1-phone"):
+        lts = built.lts
+        first = validate_side_conditions(lts)
+        expected = list(first)
+        first.clear()
+        assert validate_side_conditions(lts) == expected
+        assert validate_side_conditions(lts) is not validate_side_conditions(lts)
+        # the same reports as a fresh copy of the system
+        assert validate_side_conditions(load_lts(save_lts(lts))) == expected

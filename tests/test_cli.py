@@ -126,6 +126,35 @@ def test_hierarchy_cli(tmp_path, capsys):
     assert code == 0 and not doc["violations"]
 
 
+def test_hierarchy_malformed_bounds_is_usage_error(tmp_path, capsys):
+    out = _ccs2lts(tmp_path, "ex-5.6.ccs")
+    capsys.readouterr()
+    for bounds in ("x", "2,x", ","):
+        code = main(["hierarchy", str(out), "--stronger", "S:A", "--weaker", "S:T",
+                     "--bounds", bounds])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, bounds
+        assert captured.err.startswith("error: --bounds") and captured.err.count("\n") == 1
+
+
+def test_ltl_deeply_nested_formula_is_one_line_error(tmp_path, capsys):
+    lts = DATA / "ex-4.2-mutex-mem.json"
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"start": "init", "stem": [],
+                                 "cycle": ["m1", "m2", "m3"]}))
+    for formula in ("!" * 3000 + "enabled:L", "(" * 3000 + "enabled:L" + ")" * 3000,
+                    " -> ".join(["enabled:L"] * 3000)):
+        code = main(["ltl", str(lts), "--lasso", str(lasso), "--formula", formula])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith("error: formula nested deeper than")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    # nesting within the bound (99 levels) still evaluates: an even number of negations
+    code = main(["ltl", str(lts), "--lasso", str(lasso),
+                 "--formula", "!" * 94 + "G(G(enabled:L) -> F(occurs:L))"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["holds"] is True
+
+
 def test_ltl_cli(tmp_path, capsys):
     lts = DATA / "ex-4.2-mutex-mem.json"
     lasso = tmp_path / "lasso.json"
