@@ -9,6 +9,7 @@ be written finitely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class LabelError(ValueError):
@@ -129,5 +130,10 @@ class RelabelFn:
                 return ActionLabel("name", r.dst_base, r.dst_index)
         return label
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The printed form, shared by every print of the relabelling."""
         return "[" + ", ".join(str(r) for r in self.rules) + "]"
+
+    def __str__(self) -> str:
+        return self.text

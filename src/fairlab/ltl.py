@@ -20,12 +20,25 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
+    """An LTL formula; printing, equality and hashing walk chains by `_chain`."""
+
     op: str  # atom not and or implies F G true false
     atom: str = ""
     left: "Formula | None" = None
     right: "Formula | None" = None
+
+    def _parts(self) -> tuple:
+        if self.right is not None:
+            return (self.op, *_chain(self))
+        return (self.op, self.atom, self.left, self.right)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Formula) and self._parts() == other._parts()
+
+    def __hash__(self) -> int:
+        return hash(self._parts())
 
     def __str__(self) -> str:
         if self.op in ("true", "false"):
@@ -36,8 +49,9 @@ class Formula:
             return f"!{self.left}"
         if self.op in ("F", "G"):
             return f"{self.op}({self.left})"
+        first, *rest = _chain(self)
         sym = {"and": "&", "or": "|", "implies": "->"}[self.op]
-        return f"({self.left} {sym} {self.right})"
+        return "(" * len(rest) + str(first) + "".join(f" {sym} {g})" for g in rest)
 
 
 def atom(name: str) -> Formula:
@@ -211,6 +225,8 @@ class ConvertedLTS:
     tasks: dict[str, Task] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # memo of holds: (converted state, prop) -> bool; errors are not kept
+        self._holds: dict[tuple[str, str], bool] = {}
         self.tasks = {}
         for ts in self.base.tasks.values():
             for t in ts.tasks:
@@ -230,6 +246,12 @@ class ConvertedLTS:
         read off the underlying target state; occurs:TASK holds exactly at
         converted states that are transitions in the task.
         """
+        key = (converted_state, prop)
+        if key not in self._holds:
+            self._holds[key] = self._atom(converted_state, prop)
+        return self._holds[key]
+
+    def _atom(self, converted_state: str, prop: str) -> bool:
         kind, _, arg = prop.partition(":")
         base = self.base
         is_transition = converted_state.startswith("t/")
@@ -332,15 +354,13 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
 
 
 def _chain(f: Formula) -> list[Formula]:
-    """The operands, left to right, of the maximal chain of f.op rooted at f."""
-    out, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        if g.op == f.op:
-            todo += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
+    """The operands, left to right, of the left-nested chain of f.op at f, as
+    `conj` and the parser build it; with f.op they determine f."""
+    op, rights = f.op, []
+    while f.op == op:
+        rights.append(f.right)
+        f = f.left
+    return [f, *reversed(rights)]
 
 
 def weak_fairness_formula(ts: TaskSet) -> Formula:

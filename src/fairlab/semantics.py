@@ -1,19 +1,20 @@
 """Operational semantics: derive augmented transitions and explore state spaces.
 
-States are identified by the canonical print of the named closed expression;
-fix bodies are not unfolded for printing.  Each derived transition carries
-the instruction name(s) threaded through its derivation (one name for a
-prefix firing, two for a handshake) and the component set computed from the
-innermost parallel arms of those instructions.
+`explore` hash-conses the terms it builds (Filliatre & Conchon, 2006), so
+states are told apart by node identity and each is printed once, for the
+canonical text naming it (fix bodies are not unfolded for printing).  Each
+derived transition carries the instruction name(s) threaded through its
+derivation (one name for a prefix firing, two for a handshake) and the
+component set computed from the innermost parallel arms of those instructions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .labels import ActionLabel, TAU
-from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, Relabel,
-                     Restrict, Var, print_expr)
+from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
+                     Relabel, Restrict, Var, print_expr)
 
 
 class SemanticsError(ValueError):
@@ -28,32 +29,48 @@ class Step:
     instr: frozenset[str]
     target: Expr
 
-    def key(self) -> tuple[str, tuple[str, ...], str]:
-        return (str(self.label), tuple(sorted(self.instr)), print_expr(self.target))
+
+def _interner():
+    """A fresh intern table's constructor mk(cls, *fields).  It keys a node by
+    class, Expr/RecSpec fields (and binding terms) by identity and other
+    fields by value, so equal terms built by mk are one node."""
+    table: dict[tuple, object] = {}
+
+    def mk(cls, *fields):
+        key = (cls, *[id(f) if isinstance(f, (Expr, RecSpec))
+                      else tuple((v, id(b)) for v, b in f) if isinstance(f, tuple)
+                      else f for f in fields])
+        node = table.get(key)
+        if node is None:
+            node = table[key] = cls(*fields)
+        return node
+
+    return mk
 
 
-def _subst_fix(body: Expr, spec) -> Expr:
-    """Replace the host group's variables by their fix terms (one unfolding)."""
+def _subst_fix(body: Expr, spec: RecSpec, mk) -> Expr:
+    """Replace the host group's variables by their fix terms (one unfolding),
+    building through mk.  With an empty group this interns a whole term."""
     dom = set(spec.domain())
 
     def sub(e: Expr) -> Expr:
         if isinstance(e, Var):
-            return Fix(e.x, spec) if e.x in dom else e
+            return mk(Fix, e.x, spec) if e.x in dom else mk(Var, e.x)
         if isinstance(e, Prefix):
-            return Prefix(e.action, e.name, sub(e.body))
+            return mk(Prefix, e.action, e.name, sub(e.body))
         if isinstance(e, Choice):
-            return Choice(sub(e.left), sub(e.right))
+            return mk(Choice, sub(e.left), sub(e.right))
         if isinstance(e, Par):
-            return Par(sub(e.left), sub(e.right))
+            return mk(Par, sub(e.left), sub(e.right))
         if isinstance(e, Restrict):
-            return Restrict(sub(e.body), e.name)
+            return mk(Restrict, sub(e.body), e.name)
         if isinstance(e, Relabel):
-            return Relabel(sub(e.body), e.fn)
+            return mk(Relabel, sub(e.body), e.fn)
         if isinstance(e, Fix):
             if dom & set(e.spec.domain()):
                 return e  # inner group shadows; its spec was closed already
-            return Fix(e.var, type(e.spec)(tuple((v, sub(b)) for v, b in e.spec.bindings)))
-        return e
+            return mk(Fix, e.var, mk(RecSpec, tuple((v, sub(b)) for v, b in e.spec.bindings)))
+        return mk(type(e))
 
     return sub(body)
 
@@ -61,46 +78,64 @@ def _subst_fix(body: Expr, spec) -> Expr:
 def step(state: Expr) -> list[Step]:
     """All transitions derivable from a closed expression, deterministically
     ordered by (label, instruction set, target print).  Stuck states give []."""
-    out: dict[tuple, Step] = {}
-    for s in _step(state, 0):
-        out.setdefault(s.key(), s)
-    return [out[k] for k in sorted(out)]
+    return _ordered(_step(state, 0, _interner(), {}))
 
 
-def _step(e: Expr, depth: int) -> list[Step]:
+def _ordered(steps: list[Step]) -> list[Step]:
+    """Sort by (label, instruction set).  Only targets that tie on both are
+    printed, to order them and to drop duplicates (the first one stays)."""
+    groups: dict[tuple[str, tuple[str, ...]], list[Step]] = {}
+    for s in steps:
+        groups.setdefault((str(s.label), tuple(sorted(s.instr))), []).append(s)
+    out: list[Step] = []
+    for _, group in sorted(groups.items()):
+        if len(group) > 1:
+            texts = {print_expr(s.target): s for s in reversed(group)}
+            group = [texts[text] for text in sorted(texts)]
+        out += group
+    return out
+
+
+def _step(e: Expr, depth: int, mk, memo: dict[int, list[Step]]) -> list[Step]:
+    """The unordered steps of e, memoised by the identity of interned nodes."""
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if depth > 4096:
         raise SemanticsError("unguarded recursion: derivation does not terminate")
-    if isinstance(e, (Nil, Var)):
-        if isinstance(e, Var):
-            raise SemanticsError(f"cannot step open expression (free {e.x})")
-        return []
-    if isinstance(e, Prefix):
-        return [Step(e.action, frozenset([e.name]), e.body)]
-    if isinstance(e, Choice):
-        return _step(e.left, depth) + _step(e.right, depth)
-    if isinstance(e, Par):
-        left = _step(e.left, depth)
-        right = _step(e.right, depth)
-        out = [Step(s.label, s.instr, Par(s.target, e.right)) for s in left]
-        out += [Step(s.label, s.instr, Par(e.left, s.target)) for s in right]
+    if isinstance(e, Var):
+        raise SemanticsError(f"cannot step open expression (free {e.x})")
+    if isinstance(e, Nil):
+        out = []
+    elif isinstance(e, Prefix):
+        out = [Step(e.action, frozenset([e.name]), e.body)]
+    elif isinstance(e, Choice):
+        out = _step(e.left, depth, mk, memo) + _step(e.right, depth, mk, memo)
+    elif isinstance(e, Par):
+        left = _step(e.left, depth, mk, memo)
+        right = _step(e.right, depth, mk, memo)
+        out = [Step(s.label, s.instr, mk(Par, s.target, e.right)) for s in left]
+        out += [Step(s.label, s.instr, mk(Par, e.left, s.target)) for s in right]
         for ls in left:
             if ls.label.is_tau:
                 continue
             comp = ls.label.complement()
             for rs in right:
                 if rs.label == comp:
-                    out.append(Step(TAU, ls.instr | rs.instr, Par(ls.target, rs.target)))
-        return out
-    if isinstance(e, Restrict):
-        return [Step(s.label, s.instr, Restrict(s.target, e.name))
-                for s in _step(e.body, depth)
-                if s.label.is_tau or s.label.base != e.name]
-    if isinstance(e, Relabel):
-        return [Step(e.fn.apply(s.label), s.instr, Relabel(s.target, e.fn))
-                for s in _step(e.body, depth)]
-    if isinstance(e, Fix):
-        return _step(_subst_fix(e.spec.body(e.var), e.spec), depth + 1)
-    raise TypeError(f"unknown node {e!r}")
+                    out.append(Step(TAU, ls.instr | rs.instr, mk(Par, ls.target, rs.target)))
+    elif isinstance(e, Restrict):
+        out = [Step(s.label, s.instr, mk(Restrict, s.target, e.name))
+               for s in _step(e.body, depth, mk, memo)
+               if s.label.is_tau or s.label.base != e.name]
+    elif isinstance(e, Relabel):
+        out = [Step(e.fn.apply(s.label), s.instr, mk(Relabel, s.target, e.fn))
+               for s in _step(e.body, depth, mk, memo)]
+    elif isinstance(e, Fix):
+        out = _step(_subst_fix(e.spec.body(e.var), e.spec, mk), depth + 1, mk, memo)
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 @dataclass
@@ -132,11 +167,10 @@ class ExplorationReport:
     truncated: bool
     state_cap: int
     depth_cap: int
-    by_key: dict[str, str] = field(default_factory=dict)
 
 
 def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> ExplorationReport:
-    """Explore the reachable state space, identifying states by canonical print.
+    """Explore the reachable state space, telling interned states apart by identity.
 
     Stops at either cap; `truncated` is set iff some discovered state was left
     unexpanded or an expansion target was not admitted.  State and transition
@@ -144,23 +178,24 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
     """
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
-    root = spec.root
+    mk, memo = _interner(), {}
+    root = _subst_fix(spec.root, RecSpec(()), mk)
     states: list[ExploredState] = []
     transitions: list[ExploredTransition] = []
-    by_key: dict[str, str] = {}
+    by_node: dict[int, str] = {}  # id of an interned term -> state id
     truncated = False
 
     def admit(e: Expr) -> str | None:
         nonlocal truncated
-        key = print_expr(e)
-        if key in by_key:
-            return by_key[key]
+        sid = by_node.get(id(e))
+        if sid is not None:
+            return sid
         if len(states) >= state_cap:
             truncated = True
             return None
         sid = f"s{len(states)}"
-        by_key[key] = sid
-        states.append(ExploredState(sid, e, key))
+        by_node[id(e)] = sid
+        states.append(ExploredState(sid, e, print_expr(e)))
         return sid
 
     root_id = admit(root)
@@ -176,7 +211,7 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
                 truncated = True
                 continue
             expanded.add(sid)
-            for s in step(expr):
+            for s in _ordered(_step(expr, 0, mk, memo)):
                 tid = admit(s.target)
                 if tid is None:
                     continue
@@ -190,7 +225,7 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
     if len(expanded) < len(states):
         truncated = True
     return ExplorationReport(spec, states, transitions, root_id, truncated,
-                             state_cap, depth_cap, by_key)
+                             state_cap, depth_cap)
 
 
 def unique_synchronisation_check(report) -> bool:

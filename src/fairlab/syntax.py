@@ -9,6 +9,7 @@ addressing the arms of parallel compositions (empty word = whole system).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .labels import ActionLabel, RelabelFn
 
@@ -81,6 +82,11 @@ class RecSpec:
                 return b
         raise KeyError(var)
 
+    @cached_property
+    def defs(self) -> str:
+        """Printed bindings ``X = E, Y = F``, shared by every print of the group."""
+        return ", ".join(f"{v} = {_prn(b, _PREC_PAR)}" for v, b in self.bindings)
+
 
 @dataclass(frozen=True)
 class Fix(Expr):
@@ -119,8 +125,7 @@ def _prn(e: Expr, prec: int) -> str:
     if isinstance(e, Relabel):
         return f"{_prn(e.body, _PREC_ATOM)}{e.fn}"
     if isinstance(e, Fix):
-        defs = ", ".join(f"{v} = {_prn(b, _PREC_PAR)}" for v, b in e.spec.bindings)
-        return f"({e.var} where {defs})"
+        return f"({e.var} where {e.spec.defs})"
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -177,10 +182,6 @@ def free_vars(e: Expr) -> set[str]:
     for c in children(e):
         out |= free_vars(c)
     return out
-
-
-def is_closed(e: Expr) -> bool:
-    return not free_vars(e)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from fairlab.corpus import build_all, t_by
 from fairlab.lts import AnnotationError, from_exploration
-from fairlab.ltl import (FormulaError, Formula, G, atom, convert_lasso, eval_ltl,
+from fairlab.ltl import (FormulaError, Formula, G, atom, conj, convert_lasso, eval_ltl,
                          implies, ltl_convert, parse_formula,
                          strong_fairness_formula, weak_fairness_formula, F)
 from fairlab.parser import parse_ccs
@@ -303,4 +303,38 @@ def test_weak_fairness_of_many_tasks_needs_no_deep_recursion():
     loop = t_by(lts, source=init, label="a0")
     lasso = convert_lasso(conv, Lasso(init, (), (loop,)))
     # the b-steps stay enabled along the a0 self-loop and never occur
-    assert not eval_ltl(conv, lasso, weak_fairness_formula(ts))
+    formula = weak_fairness_formula(ts)
+    assert not eval_ltl(conv, lasso, formula)
+    text = str(formula)
+    assert text.startswith("(" * 2047 + "G((G(enabled:")
+    assert text.count(" & G((G(enabled:") == 2047
+
+
+def test_long_chains_print_compare_and_hash_without_recursion():
+    one, other = conj(*[atom("a")] * 2000), conj(*[atom("a")] * 2000)
+    assert one is not other
+    assert str(one) == "(" * 1999 + "a" + " & a)" * 1999
+    assert one == other and hash(one) == hash(other)
+    assert one != conj(*[atom("a")] * 1999, atom("b"))
+    # equality stays structural: the grouping of a chain is part of it
+    left, right = parse_formula("a & b & c"), parse_formula("a & (b & c)")
+    assert (str(left), str(right)) == ("((a & b) & c)", "(a & (b & c))")
+    assert left != right and left == conj(atom("a"), atom("b"), atom("c"))
+    assert parse_formula(str(right)) == right
+    assert parse_formula("(a | b) & c") != parse_formula("a | (b & c)")
+
+
+def test_holds_memo_keeps_answers_not_errors():
+    lts = _built("ex-5.1*")["ex-5.1-exit-loop"].lts
+    conv = ltl_convert(lts)
+    states = [s.id for s in conv.lts.states]
+    task = extract_tasks(lts, "T").tasks[0].name
+    props = [f"{kind}:{task}" for kind in ("enabled", "occurs")] + ["state:s0"]
+    first = {(s, p): conv.holds(s, p) for s in states for p in props}
+    assert {(s, p): conv.holds(s, p) for s in states for p in props} == first
+    assert first == {(s, p): ltl_convert(lts).holds(s, p) for s in states for p in props}
+    for _ in range(2):
+        with pytest.raises(FormulaError, match="unknown task"):
+            conv.holds(states[-1], "enabled:nosuch")
+        with pytest.raises(FormulaError, match="unknown atomic proposition"):
+            conv.holds(states[-1], "bogus:x")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from fairlab import semantics
 from fairlab.parser import parse_ccs, parse_expression
 from fairlab.semantics import (SemanticsError, explore, step,
                                unique_synchronisation_check)
@@ -147,3 +149,23 @@ def test_step_preserves_well_namedness_random_walks():
                 assert well_named(state)
             walks += 1
     assert walks == 200
+
+
+def test_explore_prints_each_state_once(monkeypatch):
+    # grid(5): 32 states and 160 transitions, and no two steps of a state
+    # tie on (label, instruction set), so only the new states are printed
+    calls = []
+
+    def counting_print(e):
+        calls.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(semantics, "print_expr", counting_print)
+    n = 5
+    source = (" | ".join(f"X{i}" for i in range(n)) + " where "
+              + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
+    report = explore(parse_ccs(source))
+    groups = Counter((t.source, str(t.label), t.instr) for t in report.transitions)
+    tied = sum(size for size in groups.values() if size > 1)
+    assert (len(report.states), len(report.transitions)) == (32, 160)
+    assert len(calls) <= len(report.states) + tied
