@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .corpus import run_corpus
 from .lts import (AugmentedLTS, from_exploration, load_lts, named_goal,
@@ -24,7 +23,7 @@ from .semantics import explore
 from .syntax import Diagnostic, check_fragment
 from .tasks import NOTIONS, extract_tasks, load_custom_tasks, with_progress_task
 from .verify import (Bounds, fair_extend, hierarchy_check, liveness,
-                     loopfree_witness, simulate)
+                     loopfree_witness, parse_weights, simulate)
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -78,7 +77,10 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FAIRLAB_SEED")
-    return int(env, 0) if env else DEFAULT_SEED
+    try:
+        return int(env, 0) if env else DEFAULT_SEED
+    except ValueError:
+        raise SystemExit2(f"FAIRLAB_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_ccs2lts(args) -> int:
@@ -192,13 +194,15 @@ def cmd_ltl(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.runs < 1 or args.horizon < 0:
+        raise SystemExit2("simulate needs --runs >= 1 and --horizon >= 0")
     lts = _load_lts_file(args.lts)
-    weights = None
-    if args.weights:
-        raw = json.loads(_read(args.weights))["weights"]
-        weights = {k: Fraction(v) for k, v in raw.items()}
-    est = simulate(lts, named_goal(lts, args.goal), weights,
-                   args.horizon, args.runs, _seed(args))
+    goal = named_goal(lts, args.goal)
+    try:
+        weights = parse_weights(_read(args.weights)) if args.weights else None
+        est = simulate(lts, goal, weights, args.horizon, args.runs, _seed(args))
+    except ValueError as exc:  # runs and horizon are checked: the weights are wrong
+        raise ValueError(f"{args.weights}: {exc}") from None
     print(json.dumps(est.to_json(), indent=2))
     return 0
 

@@ -9,7 +9,6 @@ everything and diffs against the expectations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -21,7 +20,7 @@ from .paths import (Assumption, Lasso, PathPrefix, classify_lasso,
 from .semantics import explore
 from .syntax import Fix, Prefix, ProcessSpec, project
 from .tasks import extract_tasks
-from .verify import liveness, loopfree_witness, simulate
+from .verify import liveness, loopfree_witness, parse_weights, simulate
 
 
 def _data(name: str) -> str:
@@ -513,11 +512,7 @@ def run_entry(built: BuiltEntry) -> list[CheckResult]:
         out.append(CheckResult(entry.id, "loopfree", f"{goal_name} len={bound}",
                                str(present), str(witness is not None)))
     for goal_name, weights_file, horizon, runs, lo, hi in entry.estimates:
-        weights = None
-        if weights_file:
-            import fractions
-            raw = json.loads(_data(weights_file))["weights"]
-            weights = {k: fractions.Fraction(v) for k, v in raw.items()}
+        weights = parse_weights(_data(weights_file)) if weights_file else None
         est = simulate(lts, named_goal(lts, goal_name), weights, horizon, runs)
         value = float(est.estimate)
         want = (f">= {lo}" if lo is not None else "") + \

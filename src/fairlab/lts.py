@@ -133,6 +133,13 @@ class AugmentedLTS:
         self._requests: dict[tuple[str, str], frozenset[str] | None] = {}
         self._ccs_cmp: dict[str, str] | None = None
         self._conditions: tuple[ConditionReport, ...] | None = None
+        # memos of tasks.extract_tasks and of verify's rooted walks, simple
+        # cycles, cycle verdicts and justness obligations
+        self._task_cache: dict[str, TaskSet] = {}
+        self._walk_cache: dict[int, dict[str, list[tuple[str, tuple[str, ...]]]]] = {}
+        self._cycle_cache: dict[tuple[str, int], list[tuple[str, ...]]] = {}
+        self._verdict_cache: dict[tuple[str, tuple[str, ...], str], bool] = {}
+        self._obligation_cache: dict[bool, dict[str, list[frozenset[str]]]] = {}
 
     # -- access helpers ----------------------------------------------------
 

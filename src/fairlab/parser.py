@@ -13,6 +13,7 @@ instruction name may be attached to a prefix occurrence as ``a{n1}.E``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
@@ -403,6 +404,19 @@ def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, Action
     return walk(_restrict_groups(root)), table
 
 
+def _depth_guarded(parse):
+    """Report input nested past the interpreter's recursion limit (the parser
+    and its passes recurse per prefix, operand or group) as a ParseError."""
+    @functools.wraps(parse)
+    def guarded(text: str):
+        try:
+            return parse(text)
+        except RecursionError:
+            raise ParseError("nesting too deep") from None
+    return guarded
+
+
+@_depth_guarded
 def parse_expression(text: str) -> Expr:
     """Parse one (possibly open) expression and name its prefixes.
 
@@ -421,6 +435,7 @@ def parse_expression(text: str) -> Expr:
     return named
 
 
+@_depth_guarded
 def parse_ccs(text: str) -> ProcessSpec:
     """Parse a complete specification into a named, closed ProcessSpec."""
     toks = _tokenize(text)

@@ -26,10 +26,7 @@ def extract_tasks(lts: AugmentedLTS, notion: str) -> TaskSet:
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}")
-    cache = getattr(lts, "_task_cache", None)
-    if cache is None:
-        cache = {}
-        lts._task_cache = cache
+    cache = lts._task_cache
     if notion in cache:
         return cache[notion]
     buckets: dict[str, set[str]] = {}

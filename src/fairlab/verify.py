@@ -3,11 +3,13 @@ probabilistic estimation, and hierarchy checking."""
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lts import AnnotationError, AugmentedLTS, TaskSet
+from .lts import AnnotationError, AugmentedLTS, SchemaError, TaskSet
 from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
                     classify_lasso, enabled_tasks)
 
@@ -56,30 +58,38 @@ def reachable_states(lts: AugmentedLTS, frm: set[str] | None = None,
     return seen
 
 
-def _co_reachable(lts: AugmentedLTS, goal: frozenset[str], eligible=None) -> set[str]:
+def _co_reachable(lts: AugmentedLTS, goal: frozenset[str], eligible=None) -> dict[str, int]:
+    """Fewest eligible steps from each state to the goal, by one reverse
+    breadth-first walk; a state that cannot reach the goal is absent."""
     pred: dict[str, list[str]] = {s.id: [] for s in lts.states}
     for t in lts.transitions:
         if eligible is not None and not eligible(t):
             continue
         pred[t.target].append(t.source)
-    seen = set(goal)
-    frontier = list(goal)
-    while frontier:
-        s = frontier.pop()
-        for p in pred[s]:
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return seen
+    dist = dict.fromkeys(goal, 0)
+    layer = list(goal)
+    while layer:
+        nxt = []
+        for s in layer:
+            for p in pred.get(s, ()):
+                if p not in dist:
+                    dist[p] = dist[s] + 1
+                    nxt.append(p)
+        layer = nxt
+    return dist
 
 
 def agef(lts: AugmentedLTS, goal: frozenset[str], reactive: bool = False) -> bool:
     """From every state reachable from an initial state, the goal is reachable
     (along non-blocking transitions only, in reactive mode)."""
-    reach = reachable_states(lts)
+    return not _hopeless(lts, goal, reactive)
+
+
+def _hopeless(lts: AugmentedLTS, goal: frozenset[str], reactive: bool) -> set[str]:
+    """Reachable states from which the goal is unreachable."""
     okay = _co_reachable(lts, goal,
                          eligible=(lambda t: not t.blocking) if reactive else None)
-    return reach <= okay
+    return reachable_states(lts).difference(okay)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +118,9 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
                 "ST": "decided via goal reachability from every reachable state",
                 "Pr": "probability-one reachability decided via the same reachability check",
                 }[assumption.kind]
-        if agef(lts, goal, assumption.reactive):
+        hopeless = _hopeless(lts, goal, assumption.reactive)
+        if not hopeless:
             return Verdict("yes", name, goal_name, notes=[note])
-        okay = _co_reachable(lts, goal, eligible=(lambda t: not t.blocking)
-                             if assumption.reactive else None)
-        hopeless = reachable_states(lts) - okay
         stem = _stem_into(lts, set(lts.state_ids()), hopeless)
         witness = PathPrefix(stem[0], tuple(stem[1])) if stem else None
         return Verdict("no", name, goal_name, witness=witness,
@@ -529,10 +537,7 @@ class HierarchyReport:
 
 def rooted_walks(lts: AugmentedLTS, max_len: int) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     """All rooted walks of length <= max_len, grouped by end state."""
-    cache = getattr(lts, "_walk_cache", None)
-    if cache is None:
-        cache = {}
-        lts._walk_cache = cache
+    cache = lts._walk_cache
     if max_len in cache:
         return cache[max_len]
     out: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
@@ -554,10 +559,7 @@ def rooted_walks(lts: AugmentedLTS, max_len: int) -> dict[str, list[tuple[str, t
 def simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple[str, ...]]:
     """Cycles without a repeated transition, of length <= max_len, anchored at
     `start`.  States may recur (a loop plus its exit is a valid cycle)."""
-    cache = getattr(lts, "_cycle_cache", None)
-    if cache is None:
-        cache = {}
-        lts._cycle_cache = cache
+    cache = lts._cycle_cache
     key = (start, max_len)
     if key in cache:
         return cache[key]
@@ -584,10 +586,7 @@ def _cycle_verdict(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
     `_just_stem_ok`.  Every other assumption is stem-insensitive, so this is
     the verdict of any lasso carrying this cycle.
     """
-    cache = getattr(lts, "_verdict_cache", None)
-    if cache is None:
-        cache = {}
-        lts._verdict_cache = cache
+    cache = lts._verdict_cache
     key = (entry, cycle, str(a))
     if key not in cache:
         cache[key] = classify_lasso(lts, Lasso(entry, (), cycle), a)
@@ -595,10 +594,7 @@ def _cycle_verdict(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
 
 
 def _obligations_by_state(lts: AugmentedLTS, reactive: bool) -> dict[str, list[frozenset[str]]]:
-    cache = getattr(lts, "_obligation_cache", None)
-    if cache is None:
-        cache = {}
-        lts._obligation_cache = cache
+    cache = lts._obligation_cache
     if reactive not in cache:
         cache[reactive] = {
             s.id: [lts.comp_of(t.id) for t in lts.outgoing(s.id)
@@ -740,6 +736,23 @@ class ProbEstimate:
                 "value": float(self.estimate), "seed": self.seed}
 
 
+def parse_weights(document: str) -> dict[str, Fraction]:
+    """Parse a {"weights": {transition id: number}} document."""
+    try:
+        doc = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("weights"), dict):
+        raise SchemaError('weights file needs a top-level "weights" object')
+    out = {}
+    for tid, value in doc["weights"].items():
+        try:
+            out[tid] = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise SchemaError(f"weight of transition {tid!r} is not a number") from None
+    return out
+
+
 def simulate(lts: AugmentedLTS, goal: frozenset[str],
              weights: dict[str, Fraction] | None = None,
              horizon: int = 200, runs: int = 2000,
@@ -749,40 +762,45 @@ def simulate(lts: AugmentedLTS, goal: frozenset[str],
     Weights are per transition, positive, normalised per state; uniform by
     default.  With several initial states a fresh pre-initial state with
     uniform outgoing choices is implied.  One derived stream per run index
-    keeps the estimate reproducible and order-independent."""
-    if weights:
-        for tid, w in weights.items():
-            if w <= 0:
-                raise ValueError(f"non-positive weight for transition {tid}")
-    out_weights: dict[str, list[tuple[str, float, str]]] = {}
+    keeps the estimate reproducible and order-independent.
+
+    A run stops as soon as the goal cannot be reached in the steps it has
+    left (fewest steps to the goal, found once per call by `_co_reachable`).
+    Such a run could not reach the goal and every run has its own stream, so
+    the estimate equals that of walking every run to its horizon.
+
+    Raises ValueError for runs < 1 or horizon < 0 (`fairlab simulate`: exit
+    2) and for a weight that is not positive or names no transition (exit 1)."""
+    if runs < 1 or horizon < 0:
+        raise ValueError(f"need runs >= 1 and horizon >= 0, got runs={runs}, "
+                         f"horizon={horizon}")
+    weights = weights or {}
+    known = {t.id for t in lts.transitions}
+    for tid, w in weights.items():
+        if tid not in known:
+            raise ValueError(f"weight for unknown transition {tid!r}")
+        if w <= 0:
+            raise ValueError(f"non-positive weight for transition {tid}")
+    rows: dict[str, tuple[float, list[tuple[float, str]]]] = {}
     for s in lts.states:
-        rows = []
-        for t in lts.outgoing(s.id):
-            w = float(weights[t.id]) if weights and t.id in weights else 1.0
-            rows.append((t.id, w, t.target))
-        out_weights[s.id] = rows
+        choices = [(float(weights.get(t.id, 1)), t.target) for t in lts.outgoing(s.id)]
+        rows[s.id] = (sum(w for w, _ in choices), choices)
+    dist = _co_reachable(lts, goal)
     reached = 0
     for run in range(runs):
         rng = random.Random((seed << 32) ^ run)  # one derived stream per run
         at = lts.initial[0] if len(lts.initial) == 1 else rng.choice(sorted(lts.initial))
-        hit = at in goal
-        for _ in range(horizon):
-            if hit:
-                break
-            rows = out_weights[at]
-            if not rows:
-                break
-            total = sum(w for _, w, _ in rows)
+        left = horizon
+        while at not in goal and dist.get(at, math.inf) <= left:
+            total, choices = rows[at]
             x = rng.random() * total
-            for _, w, target in rows:
+            for w, target in choices:
                 x -= w
                 if x <= 0:
                     at = target
                     break
             else:
-                at = rows[-1][2]
-            if at in goal:
-                hit = True
-        if hit:
-            reached += 1
+                at = choices[-1][1]
+            left -= 1
+        reached += at in goal
     return ProbEstimate(runs, horizon, reached, Fraction(reached, runs), seed)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from fairlab.labels import parse_label
+from fairlab.lts import GoalSpec, from_exploration, load_lts, named_goal, save_lts
 from fairlab.parser import ParseError, parse_ccs, parse_expression, roundtrips
+from fairlab.semantics import explore
 from fairlab.syntax import (Choice, Fix, Nil, Prefix, check_fragment,
                             component_paths, project, well_named)
 
@@ -162,3 +164,26 @@ def test_duplicated_group_gets_fresh_copies():
     assert well_named(spec.root)
     comps = sorted(set(spec.cmp_map.values()))
     assert comps == ["L", "R"]
+
+
+def _ring(k: int) -> str:
+    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
+
+
+def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
+    assert len(explore(parse_ccs(_ring(300)), 1000, 1000).states) == 600
+    # a capped exploration keeps the deepest states: those right after the
+    # initial one print the whole where-group plus an unfolded chain
+    for k, reached in ((300, {"s2", "s4", "s6"}), (500, None)):
+        fresh = from_exploration(explore(parse_ccs(_ring(k)), 8, 1000))
+        fresh.goals["g"] = GoalSpec.component_at("R", "0")
+        for lts in (fresh, load_lts(save_lts(fresh))):
+            if reached is not None:
+                assert named_goal(lts, "g") == reached
+            else:
+                with pytest.raises(ParseError, match="nesting too deep"):
+                    named_goal(lts, "g")
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_ccs(_ring(1000))
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_expression("(" * 2000 + "0" + ")" * 2000)

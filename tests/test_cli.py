@@ -211,3 +211,54 @@ def test_corpus_full_determinism(capsys):
     first = capsys.readouterr().out
     assert main(["corpus"]) == 0
     assert capsys.readouterr().out == first
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert captured.out == "" and "\n" not in err and "Traceback" not in err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_simulate_bad_flags_are_usage_errors(capsys, monkeypatch):
+    base = ["simulate", str(DATA / "prob-notagef.json"), "--goal", "win"]
+    for extra in (["--runs", "0"], ["--runs", "-3"], ["--horizon", "-5"]):
+        assert main(base + extra) == 2, extra
+        assert "--runs >= 1 and --horizon >= 0" in _one_line_error(capsys)
+    assert main(base + ["--horizon", "0", "--runs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["reached"] == 0
+    monkeypatch.setenv("FAIRLAB_SEED", "abc")
+    assert main(base) == 2
+    assert "FAIRLAB_SEED" in _one_line_error(capsys)
+
+
+def test_simulate_bad_weights_files_name_file_and_key(tmp_path, capsys):
+    cases = {
+        "list": ({"weights": [1, 2]}, '"weights" object'),
+        "nested": ({"weights": {"tg": [1]}}, "'tg' is not a number"),
+        "text": ({"weights": {"tg": "x"}}, "'tg' is not a number"),
+        "missing": ({"weight": {"tg": 1}}, '"weights" object'),
+        "typo": ({"weights": {"tgg": 1}}, "unknown transition 'tgg'"),
+        "zero": ({"weights": {"tb": 0}}, "non-positive weight for transition tb"),
+    }
+    for name, (doc, want) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(DATA / "prob-notagef.json"), "--goal", "win",
+                     "--weights", str(path), "--runs", "5"])
+        assert code == 1, name
+        err = _one_line_error(capsys)
+        assert str(path) in err and want in err, (name, err)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["simulate", str(DATA / "prob-notagef.json"), "--goal", "win",
+                 "--weights", str(bad)]) == 1
+    assert "not valid JSON" in _one_line_error(capsys)
+
+
+def test_ccs2lts_too_deep_nesting_is_one_line(tmp_path, capsys):
+    deep = tmp_path / "deep.ccs"
+    deep.write_text("X | done where X = " + ".".join(f"a{i}" for i in range(1000)) + ".X")
+    assert main(["ccs2lts", str(deep), str(tmp_path / "out.json")]) == 1
+    assert "nesting too deep" in _one_line_error(capsys)
