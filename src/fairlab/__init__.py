@@ -7,7 +7,7 @@ from .lts import (AugmentedLTS, GoalSpec, Task, TaskSet, from_exploration,
 from .parser import parse_ccs, parse_expression
 from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
                     classify_lasso, parse_assumption)
-from .semantics import explore, step, unique_synchronisation_check
+from .semantics import explore, step
 from .syntax import check_fragment, print_expr, project, well_named
 from .tasks import extract_tasks, load_custom_tasks, with_progress_task
 from .verify import (Bounds, Verdict, agef, fair_extend, hierarchy_check,
@@ -22,6 +22,6 @@ __all__ = [
     "from_exploration", "goal_states", "hierarchy_check", "liveness",
     "load_custom_tasks", "load_lts", "loopfree_witness", "named_goal",
     "parse_assumption", "parse_ccs", "parse_expression", "print_expr",
-    "project", "save_lts", "simulate", "step", "unique_synchronisation_check",
-    "validate_side_conditions", "well_named", "with_progress_task",
+    "project", "save_lts", "simulate", "step", "validate_side_conditions",
+    "well_named", "with_progress_task",
 ]

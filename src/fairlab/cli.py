@@ -11,14 +11,15 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .corpus import run_corpus
-from .lts import (AugmentedLTS, from_exploration, load_lts, named_goal,
+from .lts import (AugmentedLTS, TaskSet, from_exploration, load_lts, named_goal,
                   save_lts, validate_side_conditions)
 from .ltl import convert_lasso, eval_ltl, ltl_convert, parse_formula
 from .parser import ParseError, parse_ccs
-from .paths import (Assumption, PathPrefix, classify_finite, classify_lasso,
-                    lasso_from_json, parse_assumption, prefix_certificate)
+from .paths import (Lasso, PathError, PathPrefix, classify_finite, classify_lasso,
+                    parse_assumption, path_from_json, prefix_certificate)
 from .semantics import explore
 from .syntax import Diagnostic, check_fragment
 from .tasks import NOTIONS, extract_tasks, load_custom_tasks, with_progress_task
@@ -40,10 +41,6 @@ class SystemExit2(Exception):
     """I/O or usage failure (exit code 2)."""
 
 
-class DomainFailure(Exception):
-    """Check or diagnostic failure (exit code 1)."""
-
-
 def _load_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
@@ -63,14 +60,32 @@ def _load_lts_file(path: str) -> AugmentedLTS:
     return load_lts(_read(path))
 
 
-def _assumption(lts: AugmentedLTS, text: str) -> Assumption:
-    if ":custom=" in text:
-        kind, _, rest = text.partition(":custom=")
-        name, _, flag = rest.partition(",")
-        reactive = flag == "reactive"
-        ts = load_custom_tasks(lts, _read(name))
-        return Assumption(kind, "custom", ts, reactive)
-    return parse_assumption(text)
+def _cap(flag: int | None, config: dict[str, str], key: str, default: int) -> int:
+    value = flag if flag is not None else config.get(key, default)
+    try:
+        value = int(value)
+    except ValueError:
+        raise SystemExit2(f"config {key} must be an integer, not {value!r}") from None
+    if value < 1:
+        raise SystemExit2(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _task_file(lts: AugmentedLTS, path: str) -> TaskSet:
+    return load_custom_tasks(lts, _read(path))
+
+
+def _taskset(lts: AugmentedLTS, args) -> TaskSet:
+    """The task collection chosen by --notion or --custom."""
+    return extract_tasks(lts, args.notion) if args.notion else _task_file(lts, args.custom)
+
+
+def _path_file(path: str, kind: type):
+    """The lasso or the finite prefix a path file holds, which must be a `kind`."""
+    found = path_from_json(_read(path))
+    if not isinstance(found, kind):
+        raise PathError(f"{path}: not a {'lasso' if kind is Lasso else 'finite prefix'}")
+    return found
 
 
 def _seed(args) -> int:
@@ -85,8 +100,8 @@ def _seed(args) -> int:
 
 def cmd_ccs2lts(args) -> int:
     config = _load_config(args.config)
-    state_cap = args.state_cap or int(config.get("state_cap", 512))
-    depth_cap = args.depth_cap or int(config.get("depth_cap", 256))
+    state_cap = _cap(args.state_cap, config, "state_cap", 512)
+    depth_cap = _cap(args.depth_cap, config, "depth_cap", 256)
     try:
         spec = parse_ccs(_read(args.input))
     except ParseError as exc:
@@ -112,7 +127,7 @@ def cmd_ccs2lts(args) -> int:
 
 def cmd_liveness(args) -> int:
     lts = _load_lts_file(args.lts)
-    assumption = _assumption(lts, args.assume)
+    assumption = parse_assumption(args.assume, partial(_task_file, lts))
     verdict = liveness(lts, named_goal(lts, args.goal), assumption, goal_name=args.goal)
     print(json.dumps(verdict.to_json(), indent=2))
     return 0 if verdict.holds == "yes" else 1
@@ -120,10 +135,7 @@ def cmd_liveness(args) -> int:
 
 def cmd_tasks(args) -> int:
     lts = _load_lts_file(args.lts)
-    if args.notion:
-        ts = extract_tasks(lts, args.notion)
-    else:
-        ts = load_custom_tasks(lts, _read(args.custom))
+    ts = _taskset(lts, args)
     if args.with_progress:
         ts = with_progress_task(ts, lts)
     doc = {"notion": ts.notion,
@@ -134,38 +146,31 @@ def cmd_tasks(args) -> int:
 
 def cmd_classify(args) -> int:
     lts = _load_lts_file(args.lts)
-    assumption = _assumption(lts, args.assume)
-    doc = json.loads(_read(args.path))
-    if "cycle" in doc:
-        lasso = lasso_from_json(json.dumps(doc))
-        result = classify_lasso(lts, lasso, assumption)
+    assumption = parse_assumption(args.assume, partial(_task_file, lts))
+    path = path_from_json(_read(args.path))
+    if isinstance(path, Lasso):
+        result = classify_lasso(lts, path, assumption)
     else:
-        prefix = PathPrefix(doc["start"], tuple(doc.get("steps", ())))
-        result = classify_finite(lts, prefix, assumption)
+        result = classify_finite(lts, path, assumption)
     print(json.dumps({"assumption": str(assumption), "fair": result}))
     return 0
 
 
 def cmd_extend(args) -> int:
     lts = _load_lts_file(args.lts)
-    if args.notion:
-        ts = extract_tasks(lts, args.notion)
-    else:
-        ts = load_custom_tasks(lts, _read(args.custom))
+    ts = _taskset(lts, args)
     if args.prefix:
-        doc = json.loads(_read(args.prefix))
-        prefix = PathPrefix(doc["start"], tuple(doc.get("steps", ())))
+        prefix = _path_file(args.prefix, PathPrefix)
     else:
         prefix = PathPrefix(args.start or lts.initial[0])
-    path = fair_extend(lts, prefix, ts, args.steps)
-    print(json.dumps({"start": path.start, "steps": list(path.steps)}))
+    print(json.dumps(fair_extend(lts, prefix, ts, args.steps).to_json()))
     return 0
 
 
 def cmd_hierarchy(args) -> int:
     lts = _load_lts_file(args.lts)
-    stronger = _assumption(lts, args.stronger)
-    weaker = _assumption(lts, args.weaker)
+    stronger = parse_assumption(args.stronger, partial(_task_file, lts))
+    weaker = parse_assumption(args.weaker, partial(_task_file, lts))
     stem, _, cycle = (args.bounds or "5,6").partition(",")
     try:
         bounds = Bounds(int(stem), int(cycle or stem))
@@ -175,8 +180,7 @@ def cmd_hierarchy(args) -> int:
     report = hierarchy_check(lts, stronger, weaker, bounds, tuple(args.requires or ()))
     doc = {"stronger": report.stronger, "weaker": report.weaker,
            "checked": report.checked, "skipped": report.skipped,
-           "violations": [{"start": v.start, "stem": list(v.stem),
-                           "cycle": list(v.cycle)} for v in report.violations]}
+           "violations": [v.to_json() for v in report.violations]}
     print(json.dumps(doc, indent=2))
     if report.skipped:
         return 1
@@ -186,8 +190,7 @@ def cmd_hierarchy(args) -> int:
 def cmd_ltl(args) -> int:
     lts = _load_lts_file(args.lts)
     conv = ltl_convert(lts)
-    lasso = lasso_from_json(_read(args.lasso))
-    converted = convert_lasso(conv, lasso)
+    converted = convert_lasso(conv, _path_file(args.lasso, Lasso))
     result = eval_ltl(conv, converted, parse_formula(args.formula))
     print(json.dumps({"formula": args.formula, "holds": result}))
     return 0
@@ -226,21 +229,14 @@ def cmd_loopfree(args) -> int:
     if witness is None:
         print(json.dumps({"found": False, "length": args.length}))
         return 1
-    print(json.dumps({"found": True, "start": witness.start,
-                      "steps": list(witness.steps)}))
+    print(json.dumps({"found": True, **witness.to_json()}))
     return 0
 
 
 def cmd_certify(args) -> int:
     lts = _load_lts_file(args.lts)
-    doc = json.loads(_read(args.prefix))
-    prefix = PathPrefix(doc["start"], tuple(doc.get("steps", ())))
-    if args.notion:
-        ts = extract_tasks(lts, args.notion)
-    else:
-        ts = load_custom_tasks(lts, _read(args.custom))
-    task = ts.get(args.task)
-    cert = prefix_certificate(lts, prefix, task)
+    prefix = _path_file(args.prefix, PathPrefix)
+    cert = prefix_certificate(lts, prefix, _taskset(lts, args).get(args.task))
     print(json.dumps({"task": cert.task, "enabledEverywhere": cert.enabled_everywhere,
                       "occurs": cert.occurs, "length": cert.length}))
     return 0
@@ -287,6 +283,12 @@ def _verdict_matrix(verdicts) -> str:
     return "\n".join(lines)
 
 
+def _taskset_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--notion", choices=NOTIONS)
+    group.add_argument("--custom", help="custom task JSON file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairlab",
@@ -312,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tasks", help="extract or load a task collection")
     p.add_argument("lts")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--notion", choices=NOTIONS)
-    group.add_argument("--custom", help="custom task JSON file")
+    _taskset_flags(p)
     p.add_argument("--with-progress", action="store_true")
     p.set_defaults(func=cmd_tasks)
 
@@ -328,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lts")
     p.add_argument("--start", default=None)
     p.add_argument("--prefix", default=None, help="prefix JSON file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--notion", choices=NOTIONS)
-    group.add_argument("--custom")
+    _taskset_flags(p)
     p.add_argument("--steps", type=int, default=20)
     p.set_defaults(func=cmd_extend)
 
@@ -371,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lts")
     p.add_argument("--prefix", required=True)
     p.add_argument("--task", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--notion", choices=NOTIONS)
-    group.add_argument("--custom")
+    _taskset_flags(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("corpus", help="replay the bundled example corpus")

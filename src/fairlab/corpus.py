@@ -9,14 +9,15 @@ everything and diffs against the expectations.
 
 from __future__ import annotations
 
+import fnmatch
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .lts import (AugmentedLTS, GoalSpec, Task, TaskSet, from_exploration,
                   load_lts, named_goal)
 from .parser import parse_ccs
-from .paths import (Assumption, Lasso, PathPrefix, classify_lasso,
-                    parse_assumption, prefix_certificate)
+from .paths import (Lasso, PathPrefix, classify_lasso, parse_assumption,
+                    prefix_certificate)
 from .semantics import explore
 from .syntax import Fix, Prefix, ProcessSpec, project
 from .tasks import extract_tasks
@@ -50,6 +51,14 @@ class BuiltEntry:
     entry: CorpusEntry
     lts: AugmentedLTS
     spec: ProcessSpec | None
+
+    def custom_tasks(self, name: str) -> TaskSet:
+        """The task set an x:custom=NAME assumption names: one of the
+        system's own, or `zonly`, local fairness declaring just the reset a task."""
+        if name == "zonly":
+            zs = [t.id for t in self.lts.transitions if str(t.label) == "z"]
+            return TaskSet("custom", (Task("z", frozenset(zs)),))
+        return self.lts.tasks[name]
 
 
 def build(entry: CorpusEntry) -> BuiltEntry:
@@ -427,27 +436,12 @@ def corpus_entries() -> list[CorpusEntry]:
 
 
 def build_all(pattern: str = "*") -> list[BuiltEntry]:
-    import fnmatch
     return [build(e) for e in corpus_entries() if fnmatch.fnmatch(e.id, pattern)]
 
 
 # ---------------------------------------------------------------------------
 # Expectation replay.
 # ---------------------------------------------------------------------------
-
-def _assumption_for(built: BuiltEntry, text: str) -> Assumption:
-    if ":custom=" in text:
-        head, _, rest = text.partition(":custom=")
-        name = rest.split(",")[0]
-        reactive = text.endswith(",reactive")
-        if name == "zonly":  # local fairness: declaring just the reset a task
-            zs = [t.id for t in built.lts.transitions if str(t.label) == "z"]
-            ts = TaskSet("custom", (Task("z", frozenset(zs)),))
-        else:
-            ts = built.lts.tasks[name]
-        return Assumption(head, "custom", ts, reactive)
-    return parse_assumption(text)
-
 
 def _task_for(built: BuiltEntry, spec: tuple):
     if spec[0] == "custom":
@@ -479,14 +473,14 @@ def run_entry(built: BuiltEntry) -> list[CheckResult]:
     out: list[CheckResult] = []
     entry, lts = built.entry, built.lts
     for assume_text, goal_name, expected in entry.verdicts:
-        assumption = _assumption_for(built, assume_text)
+        assumption = parse_assumption(assume_text, built.custom_tasks)
         verdict = liveness(lts, named_goal(lts, goal_name), assumption,
                            goal_name=goal_name)
         out.append(CheckResult(entry.id, "verdict", f"{assume_text} {goal_name}",
                                expected, verdict.holds))
     for lasso_name, assume_text, expected in entry.classifications:
         lasso = entry.lassos[lasso_name](lts)
-        assumption = _assumption_for(built, assume_text)
+        assumption = parse_assumption(assume_text, built.custom_tasks)
         got = classify_lasso(lts, lasso, assumption)
         out.append(CheckResult(entry.id, "classify", f"{lasso_name} {assume_text}",
                                str(expected), str(got)))

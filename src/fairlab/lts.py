@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .labels import ActionLabel, parse_label
-from .syntax import Expr, print_expr, project
+from .parser import parse_expression
+from .semantics import step
+from .syntax import Expr, cmp_table, print_expr, project
 
 
 class SchemaError(ValueError):
@@ -128,10 +130,10 @@ class AugmentedLTS:
         for t in self.transitions:
             self._out[t.source].append(t)
         self._expr_cache: dict[str, Expr] = {}
-        # memos of paths.requested (what a component can fire, by state and
+        # memos of cmp, of requested (what a component can fire, by state and
         # component path; None when absent) and of validate_side_conditions
+        self._cmp: dict[str, str] | None = None
         self._requests: dict[tuple[str, str], frozenset[str] | None] = {}
-        self._ccs_cmp: dict[str, str] | None = None
         self._conditions: tuple[ConditionReport, ...] | None = None
         # memos of tasks.extract_tasks and of verify's rooted walks, simple
         # cycles, cycle verdicts and justness obligations
@@ -167,9 +169,17 @@ class AugmentedLTS:
             text = self.state(sid).expr
             if text is None:
                 raise AnnotationError(f"state {sid} carries no expression")
-            from .parser import reparse_state
-            self._expr_cache[sid] = reparse_state(text)
+            self._expr_cache[sid] = parse_expression(text)
         return self._expr_cache[sid]
+
+    def cmp(self) -> dict[str, str]:
+        """cmp: the component of each instruction, read off the initial
+        state's expression (ccs-origin systems only; computed once)."""
+        if self._cmp is None:
+            if self.origin != "ccs":
+                raise AnnotationError("instruction projection needs a ccs-origin system")
+            self._cmp = cmp_table(self.state_expr(self.initial[0]))
+        return self._cmp
 
     def comp_of(self, tid: str) -> frozenset[str]:
         c = self.transition(tid).comp
@@ -236,6 +246,19 @@ def _goal_from_json(doc) -> GoalSpec:
     return GoalSpec(tuple(preds))
 
 
+def read_tasks(entries) -> tuple[Task, ...]:
+    """Tasks from a [{"name": n, "members": [transition id, ...]}] list."""
+    if not isinstance(entries, list):
+        raise SchemaError("a task list must be a JSON list")
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("members"), list)
+                and all(isinstance(m, str) for m in entry["members"])):
+            raise SchemaError('each task needs a "name" and a "members" list '
+                              'of transition ids')
+    return tuple(Task(e["name"], frozenset(e["members"])) for e in entries)
+
+
 def save_lts(lts: AugmentedLTS) -> str:
     doc = {
         "states": [{"id": s.id, **({"expr": s.expr} if s.expr is not None else {})}
@@ -287,9 +310,9 @@ def load_lts(document: str) -> AugmentedLTS:
     goals = {name: _goal_from_json(g) for name, g in doc.get("goals", {}).items()}
     tasks = {}
     for name, ts in doc.get("tasks", {}).items():
-        tasks[name] = TaskSet(ts.get("notion", "custom"),
-                              tuple(Task(t["name"], frozenset(t["members"]))
-                                    for t in ts.get("tasks", [])))
+        if not isinstance(ts, dict):
+            raise SchemaError(f"task set {name!r} must be an object")
+        tasks[name] = TaskSet(ts.get("notion", "custom"), read_tasks(ts.get("tasks", [])))
     return AugmentedLTS(states, transitions, doc["initial"], goals, tasks,
                         doc.get("origin", "handwritten"), doc.get("truncated", False))
 
@@ -300,18 +323,17 @@ def load_lts(document: str) -> AugmentedLTS:
 
 def goal_states(lts: AugmentedLTS, goal: GoalSpec) -> frozenset[str]:
     """Union of the goal's disjunct evaluations over the state set."""
-    from .parser import reparse_state
     out: set[str] = set()
     for d in goal.disjuncts:
         if d.kind == "explicit":
             out |= d.states & set(lts.state_ids())
         elif d.kind == "state_is":
-            want = print_expr(reparse_state(d.expr))
+            want = print_expr(parse_expression(d.expr))
             for s in lts.states:
                 if s.expr is not None and print_expr(lts.state_expr(s.id)) == want:
                     out.add(s.id)
         elif d.kind == "component_at":
-            want = print_expr(reparse_state(d.expr))
+            want = print_expr(parse_expression(d.expr))
             for s in lts.states:
                 if s.expr is None:
                     raise AnnotationError(
@@ -337,6 +359,31 @@ def named_goal(lts: AugmentedLTS, name: str) -> frozenset[str]:
 def concurrent(lts: AugmentedLTS, t: str, u: str) -> bool:
     """t and u are concurrent iff their component sets are disjoint."""
     return not (lts.comp_of(t) & lts.comp_of(u))
+
+
+def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
+    """An instruction is requested when its component, viewed in isolation,
+    can fire it (no restriction context applies).  What each component can
+    fire in each state is computed once per system."""
+    path = lts.cmp().get(instruction)
+    if path is None:
+        raise AnnotationError(f"unknown instruction {instruction!r}")
+    if (state, path) not in lts._requests:
+        comp = project(lts.state_expr(state), path)
+        lts._requests[state, path] = (None if comp is None else
+                                      frozenset(i for s in step(comp) for i in s.instr))
+    fires = lts._requests[state, path]
+    if fires is None:
+        raise AnnotationError(f"component {path!r} absent in state {state}")
+    return instruction in fires
+
+
+def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
+    """`requested`, with an absent component requesting nothing."""
+    try:
+        return requested(lts, instruction, state)
+    except AnnotationError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -397,39 +444,16 @@ def _validate(lts: AugmentedLTS) -> list[ConditionReport]:
 
     # (4)/(5) requested-ness conditions (ccs origin only)
     if lts.origin == "ccs" and has_expr and has_instr and has_comp:
-        from .paths import requested
-        holds4, detail4 = True, ""
-        holds5, detail5 = True, ""
-        instrs = lts.instructions()
-        cmp_map = _derive_cmp(lts)
-        for sid in lts.state_ids():
-            enabled_instr = {i for t in lts.outgoing(sid) for i in t.instr}
-            for i in sorted(enabled_instr):
-                if not requested(lts, i, sid):
-                    holds4, detail4 = False, f"instruction {i} enabled but not requested in {sid}"
-                    break
-            if not holds4:
-                break
-        for sid in lts.state_ids():
-            for i in instrs:
-                if cmp_map.get(i) is None:
-                    continue
-                try:
-                    if not requested(lts, i, sid):
-                        continue
-                except Exception:
-                    continue
-                for u in lts.outgoing(sid):
-                    if cmp_map[i] not in u.comp and not requested(lts, i, u.target):
-                        holds5 = False
-                        detail5 = f"instruction {i} requested in {sid} but not after {u.id}"
-                        break
-                if not holds5:
-                    break
-            if not holds5:
-                break
-        out.append(ConditionReport("(4) enabled implies requested", holds4, True, detail4))
-        out.append(ConditionReport("(5) requested persists", holds5, True, detail5))
+        cmp, instrs, sids = lts.cmp(), lts.instructions(), lts.state_ids()
+        bad4 = next((f"instruction {i} enabled but not requested in {sid}" for sid in sids
+                     for i in sorted({j for t in lts.outgoing(sid) for j in t.instr})
+                     if not requested(lts, i, sid)), "")
+        bad5 = next((f"instruction {i} requested in {sid} but not after {u.id}"
+                     for sid in sids for i in instrs if requested_if_present(lts, i, sid)
+                     for u in lts.outgoing(sid)
+                     if cmp[i] not in u.comp and not requested(lts, i, u.target)), "")
+        out.append(ConditionReport("(4) enabled implies requested", not bad4, True, bad4))
+        out.append(ConditionReport("(5) requested persists", not bad5, True, bad5))
     else:
         why = "ccs origin with expressions required"
         out.append(ConditionReport("(4) enabled implies requested", False, False, why))
@@ -506,27 +530,6 @@ def _solve_cmp(lts: AugmentedLTS) -> tuple[bool, str]:
     if solve(0):
         return True, ""
     return False, "no consistent cmp assignment found"
-
-
-def _derive_cmp(lts: AugmentedLTS) -> dict[str, str]:
-    """Recover cmp from singleton-instruction transitions (condition (3))."""
-    cmp_map: dict[str, str] = {}
-    changed = True
-    while changed:
-        changed = False
-        for t in lts.transitions:
-            if t.instr is None or t.comp is None:
-                continue
-            unknown = [i for i in t.instr if i not in cmp_map]
-            if len(t.instr) == 1 and unknown and len(t.comp) == 1:
-                cmp_map[unknown[0]] = next(iter(t.comp))
-                changed = True
-            elif len(unknown) == 1:
-                rest = set(t.comp) - {cmp_map[i] for i in t.instr if i in cmp_map}
-                if len(rest) == 1:
-                    cmp_map[unknown[0]] = next(iter(rest))
-                    changed = True
-    return cmp_map
 
 
 def isomorphic(a: AugmentedLTS, b: AugmentedLTS) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
-                     Relabel, Restrict, Span, Var, cmp_table, free_vars,
+                     Relabel, Restrict, Span, Var, free_vars, instruction_paths,
                      print_expr, well_named)
 
 
@@ -468,40 +468,14 @@ def parse_ccs(text: str) -> ProcessSpec:
     # well-namedness allows: unguarded occurrences stay pairwise distinct
     if not well_named(named):
         raise ParseError("explicit instruction names violate well-namedness")
-    paths: dict[str, set[str]] = {}
-    _collect_paths(named, "", paths)
+    paths = instruction_paths(named)
     for name, where in paths.items():
-        if len(where) > 1:
+        if len(set(where)) > 1:
             raise ParseError(f"instruction name {name!r} spans parallel "
-                             f"components {sorted(where)}")
-    return ProcessSpec(root=named, name_table=table, cmp_map=cmp_table(named),
+                             f"components {sorted(set(where))}")
+    return ProcessSpec(root=named, name_table=table,
+                       cmp_map={name: where[0] for name, where in paths.items()},
                        nonblocking=frozenset(nonblocking), source=text)
-
-
-def _collect_paths(e: Expr, path: str, out: dict[str, set[str]]) -> None:
-    if isinstance(e, Prefix):
-        out.setdefault(e.name, set()).add(path)
-        _collect_paths(e.body, path, out)
-    elif isinstance(e, Par):
-        _collect_paths(e.left, path + "L", out)
-        _collect_paths(e.right, path + "R", out)
-    elif isinstance(e, (Restrict, Relabel)):
-        _collect_paths(e.body, path, out)
-    elif isinstance(e, Choice):
-        _collect_paths(e.left, path, out)
-        _collect_paths(e.right, path, out)
-    elif isinstance(e, Fix):
-        for _, b in e.spec.bindings:
-            _collect_paths(b, path, out)
-
-
-def reparse_state(text: str) -> Expr:
-    """Parse a canonical state print back into a named expression.
-
-    Names are taken verbatim; unannotated prefixes still get fresh names so
-    that hand-written goal expressions are accepted too.
-    """
-    return parse_expression(text)
 
 
 def roundtrips(spec: ProcessSpec) -> bool:

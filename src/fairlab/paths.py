@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
-from .lts import AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet
+from .lts import (AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet,
+                  requested_if_present)
 from .tasks import NOTIONS, extract_tasks
 
 
@@ -39,6 +41,9 @@ class PathPrefix:
     def end(self, lts: AugmentedLTS) -> str:
         return self.states(lts)[-1]
 
+    def to_json(self) -> dict:
+        return {"start": self.start, "steps": list(self.steps)}
+
 
 @dataclass(frozen=True)
 class Lasso:
@@ -62,18 +67,29 @@ class Lasso:
     def cycle_states(self, lts: AugmentedLTS) -> frozenset[str]:
         return frozenset(lts.transition(t).source for t in self.cycle)
 
+    def to_json(self) -> dict:
+        return {"start": self.start, "stem": list(self.stem), "cycle": list(self.cycle)}
 
-def lasso_from_json(document: str) -> Lasso:
+
+def path_from_json(document: str) -> Lasso | PathPrefix:
+    """Read a lasso {"start": s, "stem": [t...], "cycle": [t...]} (stem
+    optional) or, when there is no cycle, a prefix {"start": s, "steps": [t...]}."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
-    return Lasso(doc["start"], tuple(doc.get("stem", ())), tuple(doc["cycle"]))
+    if not isinstance(doc, dict) or not isinstance(doc.get("start"), str):
+        raise PathError('a path must be an object with a "start" state id')
 
+    def ids(key: str) -> tuple[str, ...]:
+        value = doc.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+            raise PathError(f'path field "{key}" must be a list of transition ids')
+        return tuple(value)
 
-def lasso_to_json(lasso: Lasso) -> str:
-    return json.dumps({"start": lasso.start, "stem": list(lasso.stem),
-                       "cycle": list(lasso.cycle)})
+    if "cycle" in doc:
+        return Lasso(doc["start"], ids("stem"), ids("cycle"))
+    return PathPrefix(doc["start"], ids("steps"))
 
 
 @dataclass(frozen=True)
@@ -109,9 +125,11 @@ class Assumption:
         return base + (",reactive" if self.reactive else "")
 
 
-def parse_assumption(text: str, taskset: TaskSet | None = None) -> Assumption:
+def parse_assumption(text: str,
+                     custom: Callable[[str], TaskSet] | None = None) -> Assumption:
     """Parse the --assume grammar: P | just | J:y | W:y | S:y | SWI | Fu | ST
-    | Pr | x:custom[=file handled by the caller], optionally ,reactive."""
+    | Pr | x:custom=NAME for x in J, W, S, optionally ,reactive.  `custom`
+    resolves NAME to its task set (the CLI reads a file of that name)."""
     s = text.strip()
     reactive = False
     if s.endswith(",reactive"):
@@ -126,7 +144,8 @@ def parse_assumption(text: str, taskset: TaskSet | None = None) -> Assumption:
     if ":" in s:
         kind, _, notion = s.partition(":")
         if kind in ("J", "W", "S"):
-            if notion.startswith("custom"):
+            if notion.startswith("custom="):
+                taskset = custom(notion[len("custom="):]) if custom else None
                 return Assumption(kind, "custom", taskset, reactive)
             return Assumption(kind, notion, None, reactive)
     raise ValueError(f"cannot parse assumption {text!r}")
@@ -180,42 +199,6 @@ def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
             for k in ts.containing.get(t.id, ())}
 
 
-def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
-    """An instruction is requested when its component, viewed in isolation,
-    can fire it (no restriction context applies).  What each component can
-    fire in each state is computed once per system."""
-    from .semantics import step
-    from .syntax import project
-    path = _ccs_cmp_map(lts).get(instruction)
-    if path is None:
-        raise AnnotationError(f"unknown instruction {instruction!r}")
-    if (state, path) not in lts._requests:
-        comp = project(lts.state_expr(state), path)
-        lts._requests[state, path] = (None if comp is None else
-                                      frozenset(i for s in step(comp) for i in s.instr))
-    fires = lts._requests[state, path]
-    if fires is None:
-        raise AnnotationError(f"component {path!r} absent in state {state}")
-    return instruction in fires
-
-
-def _requested_quiet(lts: AugmentedLTS, instruction: str, state: str) -> bool:
-    try:
-        return requested(lts, instruction, state)
-    except AnnotationError:
-        return False  # component no longer present: nothing is requested of it
-
-
-def _ccs_cmp_map(lts: AugmentedLTS) -> dict[str, str]:
-    """cmp over instructions, recovered from the initial state expression."""
-    if lts._ccs_cmp is None:
-        if lts.origin != "ccs":
-            raise AnnotationError("instruction projection needs a ccs-origin system")
-        from .syntax import cmp_table
-        lts._ccs_cmp = cmp_table(lts.state_expr(lts.initial[0]))
-    return lts._ccs_cmp
-
-
 # ---------------------------------------------------------------------------
 # Classification.
 # ---------------------------------------------------------------------------
@@ -250,7 +233,7 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
         for i in _all_instructions(lts):
             if any(i in lts.instr_of(t) for t in lasso.cycle):
                 continue
-            requested_everywhere = all(_requested_quiet(lts, i, s) for s in cyc_states)
+            requested_everywhere = all(requested_if_present(lts, i, s) for s in cyc_states)
             enabled_somewhere = any(instr_enabled(lts, i, s, reactive) for s in cyc_states)
             if requested_everywhere and enabled_somewhere:
                 return False

@@ -226,19 +226,3 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
         truncated = True
     return ExplorationReport(spec, states, transitions, root_id, truncated,
                              state_cap, depth_cap)
-
-
-def unique_synchronisation_check(report) -> bool:
-    """At most one outgoing transition per (state, instruction set).
-
-    Accepts an ExplorationReport or anything exposing `.transitions` with
-    source/instr fields.
-    """
-    seen: set[tuple[str, frozenset[str]]] = set()
-    for t in report.transitions:
-        instr = t.instr if t.instr is not None else frozenset()
-        key = (t.source, frozenset(instr))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True

@@ -320,33 +320,40 @@ def component_paths(e: Expr) -> set[ComponentPath]:
     return out
 
 
-def _cmp_walk(n: Expr, path: str, table: dict[str, str]) -> None:
-    if isinstance(n, Prefix):
-        table[n.name] = path
-        _cmp_walk(n.body, path, table)
-    elif isinstance(n, Par):
-        _cmp_walk(n.left, path + "L", table)
-        _cmp_walk(n.right, path + "R", table)
-    elif isinstance(n, (Restrict, Relabel)):
-        _cmp_walk(n.body, path, table)
-    elif isinstance(n, Choice):
-        _cmp_walk(n.left, path, table)
-        _cmp_walk(n.right, path, table)
-    elif isinstance(n, Fix):
-        for _, b in n.spec.bindings:
-            _cmp_walk(b, path, table)
-
-
-def cmp_table(e: Expr) -> dict[str, ComponentPath]:
-    """Innermost parallel arm of each instruction occurrence in e.
+def instruction_paths(e: Expr) -> dict[str, list[ComponentPath]]:
+    """Innermost parallel arm of every instruction occurrence in e, by name,
+    in walk order.
 
     Occurrences inside a fix group inherit the component of the fix term:
     the fragment forbids parallel composition inside definition bodies, so
     every occurrence of the group sits in the arm holding the reference.
     """
-    table: dict[str, str] = {}
-    _cmp_walk(e, "", table)
+    table: dict[str, list[str]] = {}
+
+    def walk(n: Expr, path: str) -> None:
+        if isinstance(n, Prefix):
+            table.setdefault(n.name, []).append(path)
+            walk(n.body, path)
+        elif isinstance(n, Par):
+            walk(n.left, path + "L")
+            walk(n.right, path + "R")
+        elif isinstance(n, (Restrict, Relabel)):
+            walk(n.body, path)
+        elif isinstance(n, Choice):
+            walk(n.left, path)
+            walk(n.right, path)
+        elif isinstance(n, Fix):
+            for _, b in n.spec.bindings:
+                walk(b, path)
+
+    walk(e, "")
     return table
+
+
+def cmp_table(e: Expr) -> dict[str, ComponentPath]:
+    """cmp: the component of each instruction of e (the last one walked if
+    an ill-named term places it in several; `parse_ccs` rejects those)."""
+    return {name: where[-1] for name, where in instruction_paths(e).items()}
 
 
 def project(state: Expr, c: ComponentPath) -> Expr | None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .lts import AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet
+from .lts import (AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet,
+                  read_tasks)
 
 NOTIONS = ("A", "T", "I", "Z", "C", "G")
 
@@ -71,16 +72,14 @@ def load_custom_tasks(lts: AugmentedLTS, document: str) -> TaskSet:
         raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise SchemaError("custom task file needs a top-level tasks list")
+    tasks = read_tasks(doc["tasks"])
     known = {t.id for t in lts.transitions}
-    tasks = []
-    for entry in doc["tasks"]:
-        members = frozenset(entry["members"])
-        dangling = members - known
+    for task in tasks:
+        dangling = task.members - known
         if dangling:
-            raise SchemaError(f"task {entry['name']!r} references unknown "
+            raise SchemaError(f"task {task.name!r} references unknown "
                               f"transition {sorted(dangling)[0]}")
-        tasks.append(Task(entry["name"], members))
-    return TaskSet("custom", tuple(tasks))
+    return TaskSet("custom", tasks)
 
 
 def with_progress_task(ts: TaskSet, lts: AugmentedLTS) -> TaskSet:

@@ -3,13 +3,15 @@ probabilistic estimation, and hierarchy checking."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lts import AnnotationError, AugmentedLTS, SchemaError, TaskSet
+from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
+                  validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
                     classify_lasso, enabled_tasks)
 
@@ -23,12 +25,7 @@ class Verdict:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        w = None
-        if isinstance(self.witness, Lasso):
-            w = {"start": self.witness.start, "stem": list(self.witness.stem),
-                 "cycle": list(self.witness.cycle)}
-        elif isinstance(self.witness, PathPrefix):
-            w = {"start": self.witness.start, "steps": list(self.witness.steps)}
+        w = self.witness.to_json() if self.witness is not None else None
         return {"assumption": self.assumption, "goal": self.goal,
                 "holds": self.holds, "witness": w, "notes": list(self.notes)}
 
@@ -239,7 +236,6 @@ def _scc_partition(nodes: set[str], succ) -> list[list[str]]:
 def _strongly_connected_subsets(scc: list[str], succ) -> list[list[str]]:
     """All nonempty subsets of one SCC whose induced subgraph is strongly
     connected (single states only when they carry a self-loop)."""
-    import itertools
     out = []
     for r in range(1, len(scc) + 1):
         for combo in itertools.combinations(scc, r):
@@ -635,7 +631,6 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
     violations."""
     report = HierarchyReport(str(stronger), str(weaker))
     if required_conditions:
-        from .lts import validate_side_conditions
         conditions = validate_side_conditions(lts)
         for need in required_conditions:
             hit = next((c for c in conditions if c.name.startswith(need)), None)

@@ -16,7 +16,7 @@ from fairlab.lts import named_goal, validate_side_conditions
 from fairlab.ltl import (convert_lasso, eval_ltl, ltl_convert,
                          strong_fairness_formula, weak_fairness_formula)
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
-                           classify_lasso)
+                           classify_lasso, parse_assumption)
 from fairlab.semantics import step
 from fairlab.syntax import well_named
 from fairlab.tasks import extract_tasks
@@ -99,13 +99,12 @@ ABSENT_ARROWS = [
 
 
 def test_criterion_3b_absent_arrows(corpus):
-    from fairlab.corpus import _assumption_for
     problems = []
     for entry_id, lasso_name, stronger_text, weaker_text, bounds in ABSENT_ARROWS:
         built = corpus[entry_id]
         lasso = built.entry.lassos[lasso_name](built.lts)
-        stronger = _assumption_for(built, stronger_text)
-        weaker = _assumption_for(built, weaker_text)
+        stronger = parse_assumption(stronger_text, built.custom_tasks)
+        weaker = parse_assumption(weaker_text, built.custom_tasks)
         if not classify_lasso(built.lts, lasso, stronger):
             problems.append((entry_id, lasso_name, "not stronger-fair"))
         if classify_lasso(built.lts, lasso, weaker):

@@ -15,13 +15,13 @@ import random
 
 from fairlab.corpus import build_all
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
-                         Transition, from_exploration, load_lts, save_lts,
-                         validate_side_conditions)
+                         Transition, from_exploration, load_lts, requested,
+                         save_lts, validate_side_conditions)
 from fairlab.labels import parse_label
 from fairlab.parser import parse_ccs
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
                            classify_lasso, enabled, enabled_during,
-                           instr_enabled, requested, resolve_tasks)
+                           instr_enabled, resolve_tasks)
 from fairlab.semantics import explore, step
 from fairlab.syntax import cmp_table, project
 from fairlab.verify import Bounds, rooted_walks, simple_cycles_at

@@ -262,3 +262,71 @@ def test_ccs2lts_too_deep_nesting_is_one_line(tmp_path, capsys):
     deep.write_text("X | done where X = " + ".".join(f"a{i}" for i in range(1000)) + ".X")
     assert main(["ccs2lts", str(deep), str(tmp_path / "out.json")]) == 1
     assert "nesting too deep" in _one_line_error(capsys)
+
+
+def test_ccs2lts_caps_below_1_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for flag, value in (("--state-cap", "0"), ("--depth-cap", "0"), ("--state-cap", "-3")):
+        assert main(["ccs2lts", str(DATA / "ex-5.1.ccs"), str(out), flag, value]) == 2
+        key = flag[2:].replace("-", "_")
+        assert f"{key} must be at least 1, got {value}" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_ccs2lts_bad_config_caps_are_usage_errors(tmp_path, capsys):
+    config = tmp_path / "fairlab.conf"
+    for text, want in (("state_cap = x\n", "config state_cap must be an integer, not 'x'"),
+                       ("depth_cap = 0\n", "depth_cap must be at least 1, got 0")):
+        config.write_text(text)
+        assert main(["ccs2lts", str(DATA / "ex-5.1.ccs"), str(tmp_path / "out.json"),
+                     "--config", str(config)]) == 2, text
+        assert want in _one_line_error(capsys)
+
+
+def test_malformed_path_and_task_files_are_one_line_errors(tmp_path, capsys):
+    lts = str(DATA / "ex-4.2-mutex-mem.json")
+    cases = []
+    for k, (doc, want) in enumerate((
+            ([1], 'a path must be an object with a "start" state id'),
+            ({"cycle": ["t0"]}, 'a path must be an object with a "start" state id'),
+            ({"start": "s0", "steps": [{"a": 1}]}, '"steps" must be a list of transition ids'),
+            ({"start": "s0", "cycle": "t0"}, '"cycle" must be a list of transition ids'),
+            ({"start": "s0", "cycle": {"t0": 1}}, '"cycle" must be a list of transition ids'))):
+        path = tmp_path / f"path{k}.json"
+        path.write_text(json.dumps(doc))
+        cases += [(["classify", lts, str(path), "--assume", "P"], want),
+                  (["ltl", lts, "--lasso", str(path), "--formula", "enabled:L"], want),
+                  (["extend", lts, "--notion", "T", "--prefix", str(path)], want),
+                  (["certify", lts, "--prefix", str(path), "--task", "T:l1",
+                    "--notion", "T"], want)]
+    lasso, prefix = tmp_path / "lasso.json", tmp_path / "prefix.json"
+    lasso.write_text(json.dumps({"start": "init", "cycle": ["m1", "m2", "m3"]}))
+    prefix.write_text(json.dumps({"start": "init", "steps": ["l1"]}))
+    cases += [(["ltl", lts, "--lasso", str(prefix), "--formula", "enabled:L"], "not a lasso"),
+              (["extend", lts, "--notion", "T", "--prefix", str(lasso)], "not a finite prefix"),
+              (["certify", lts, "--prefix", str(lasso), "--task", "T:l1", "--notion", "T"],
+               "not a finite prefix")]
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps({"tasks": [{"name": "L"}]}))
+    broken = json.loads((DATA / "ex-4.2-mutex-mem.json").read_text())
+    broken["tasks"]["LM"]["tasks"][0].pop("members")
+    broken_lts = tmp_path / "broken.json"
+    broken_lts.write_text(json.dumps(broken))
+    want = 'each task needs a "name" and a "members" list of transition ids'
+    cases += [(["tasks", lts, "--custom", str(tasks)], want),
+              (["liveness", lts, "--goal", "crit", "--assume", f"W:custom={tasks}"], want),
+              (["validate", str(broken_lts)], want)]
+    for argv, want in cases:
+        assert main(argv) == 1, argv
+        assert want in _one_line_error(capsys), argv
+
+
+def test_custom_tasks_apply_to_j_w_s_only(capsys):
+    lts, tasks = str(DATA / "ex-4.2-mutex-mem.json"), DATA / "tasks-lm.json"
+    assert main(["liveness", lts, "--goal", "crit", "--assume", f"P:custom={tasks}"]) == 1
+    assert "cannot parse assumption" in _one_line_error(capsys)
+    # the task file is named before the flag; the mutex's blocking steps
+    # promise nothing under ,reactive
+    assert main(["liveness", lts, "--goal", "crit",
+                 "--assume", f"S:custom={tasks},reactive"]) == 1
+    assert json.loads(capsys.readouterr().out)["assumption"] == "S:custom,reactive"

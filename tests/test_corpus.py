@@ -7,7 +7,7 @@ from pathlib import Path
 
 from fairlab.corpus import CorpusEntry, build_all, run_entry
 from fairlab.lts import isomorphic, load_lts, named_goal, save_lts
-from fairlab.paths import classify_lasso, Lasso, PathPrefix
+from fairlab.paths import classify_lasso, Lasso, parse_assumption, PathPrefix
 from fairlab.syntax import component_paths
 from fairlab.tasks import load_custom_tasks
 from fairlab.verify import liveness
@@ -42,14 +42,13 @@ def test_custom_task_file_matches_handwritten_map():
 
 
 def test_no_verdict_witnesses_are_sound():
-    from fairlab.corpus import _assumption_for
     checked = 0
     for built in build_all():
         lts = built.lts
         for assume_text, goal_name, expected in built.entry.verdicts:
             if expected != "no":
                 continue
-            assumption = _assumption_for(built, assume_text)
+            assumption = parse_assumption(assume_text, built.custom_tasks)
             goal = named_goal(lts, goal_name)
             verdict = liveness(lts, goal, assumption, goal_name=goal_name)
             assert verdict.holds == "no"

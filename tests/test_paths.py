@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from fairlab.corpus import build_all, t_by
-from fairlab.lts import Task, from_exploration
+from fairlab.lts import Task, from_exploration, requested
 from fairlab.parser import parse_ccs
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
                            classify_lasso, enabled, enabled_during,
-                           lasso_from_json, lasso_to_json, parse_assumption,
-                           prefix_certificate, requested)
+                           parse_assumption, path_from_json,
+                           prefix_certificate)
 from fairlab.semantics import explore
 from fairlab.tasks import extract_tasks
 
@@ -21,7 +23,9 @@ def _built(pattern):
 
 def test_lasso_json_roundtrip():
     lasso = Lasso("s0", ("t1",), ("t2", "t3"))
-    assert lasso_from_json(lasso_to_json(lasso)) == lasso
+    assert path_from_json(json.dumps(lasso.to_json())) == lasso
+    prefix = PathPrefix("s0", ("t1", "t2"))
+    assert path_from_json(json.dumps(prefix.to_json())) == prefix
 
 
 def test_assumption_parsing():

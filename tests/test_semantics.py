@@ -8,9 +8,11 @@ from collections import Counter
 import pytest
 
 from fairlab import semantics
+from fairlab.labels import parse_label
+from fairlab.lts import (AugmentedLTS, State, Transition, from_exploration,
+                         validate_side_conditions)
 from fairlab.parser import parse_ccs, parse_expression
-from fairlab.semantics import (SemanticsError, explore, step,
-                               unique_synchronisation_check)
+from fairlab.semantics import SemanticsError, explore, step
 from fairlab.syntax import print_expr, well_named
 
 
@@ -96,6 +98,10 @@ def test_explore_depth_cap_truncates():
     assert rep.truncated
 
 
+def _condition_1(lts):
+    return next(r for r in validate_side_conditions(lts) if r.name.startswith("(1)"))
+
+
 def test_unique_synchronisation_on_corpus_like_specs():
     for src in [
         "a | X where X = a.X",
@@ -103,20 +109,20 @@ def test_unique_synchronisation_on_corpus_like_specs():
         "X | Y where X = a.X + b.X, Y = a.Y + 'b.Y",
         "X | Y where X = a.b.c.X, Y = c.a.b.Y",
     ]:
-        rep = explore(parse_ccs(src))
-        assert unique_synchronisation_check(rep), src
+        report = _condition_1(from_exploration(explore(parse_ccs(src))))
+        assert report.checked and report.holds, src
 
 
 def test_unique_synchronisation_violation_detected():
-    class FakeT:
-        def __init__(self, source, instr):
-            self.source = source
-            self.instr = instr
-
-    class FakeRep:
-        transitions = [FakeT("s0", frozenset({"a"})), FakeT("s0", frozenset({"a"}))]
-
-    assert not unique_synchronisation_check(FakeRep())
+    a = parse_label("a")
+    lts = AugmentedLTS(
+        [State("s0", None), State("s1", None)],
+        [Transition("t0", "s0", "s1", a, frozenset({"a"}), frozenset({""}), True),
+         Transition("t1", "s0", "s0", a, frozenset({"a"}), frozenset({""}), True)],
+        ["s0"])
+    report = _condition_1(lts)
+    assert report.checked and not report.holds
+    assert report.detail == "state s0: t0 and t1 share instr"
 
 
 def test_ex_5_4_transition_inventory():
