@@ -138,9 +138,7 @@ def cmd_tasks(args) -> int:
     ts = _taskset(lts, args)
     if args.with_progress:
         ts = with_progress_task(ts, lts)
-    doc = {"notion": ts.notion,
-           "tasks": [{"name": t.name, "members": sorted(t.members)} for t in ts.tasks]}
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(ts.to_json(), indent=2))
     return 0
 
 

@@ -144,11 +144,6 @@ def prefix_of_steps(count: int, chooser):
     return make
 
 
-def _component_head(lts: AugmentedLTS, sid: str, path: str):
-    comp = project(lts.state_expr(sid), path)
-    return comp
-
-
 def explicit_goal(predicate):
     """Goal built from a per-state predicate over (lts, state id)."""
     def make(lts: AugmentedLTS) -> GoalSpec:
@@ -158,14 +153,14 @@ def explicit_goal(predicate):
 
 def _head_prefix_named(name: str, path: str):
     def pred(lts: AugmentedLTS, sid: str) -> bool:
-        comp = _component_head(lts, sid, path)
+        comp = project(lts.state_expr(sid), path)
         return isinstance(comp, Prefix) and comp.name == name
     return pred
 
 
 def _fix_var_in(vars_: set[str], path: str):
     def pred(lts: AugmentedLTS, sid: str) -> bool:
-        comp = _component_head(lts, sid, path)
+        comp = project(lts.state_expr(sid), path)
         return isinstance(comp, Fix) and comp.var in vars_
     return pred
 
@@ -180,8 +175,8 @@ def _phase(expr, order: str) -> int:
 
 
 def _diag(lts: AugmentedLTS, sid: str) -> bool:
-    left = _component_head(lts, sid, "L")
-    right = _component_head(lts, sid, "R")
+    left = project(lts.state_expr(sid), "L")
+    right = project(lts.state_expr(sid), "R")
     return _phase(left, "abc") == _phase(right, "abc")
 
 

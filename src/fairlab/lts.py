@@ -67,6 +67,10 @@ class TaskSet:
                 out[tid] = out.get(tid, ()) + (k,)
         return out
 
+    def to_json(self) -> dict:
+        return {"notion": self.notion,
+                "tasks": [{"name": t.name, "members": sorted(t.members)} for t in self.tasks]}
+
 
 @dataclass(frozen=True)
 class GoalPredicate:
@@ -93,17 +97,27 @@ class GoalSpec:
         return GoalSpec((GoalPredicate("component_at", expr=expr, path=path),))
 
 
+_MISSING = object()
+
+
 @dataclass
 class AugmentedLTS:
-    states: list[State]
-    transitions: list[Transition]
-    initial: list[str]
+    """A transition system with its annotations.  `states`, `transitions`
+    and `initial` are tuples, so the tables derived from them (`memo`) cannot
+    go stale; goals and task sets may still be added after construction."""
+
+    states: tuple[State, ...]
+    transitions: tuple[Transition, ...]
+    initial: tuple[str, ...]
     goals: dict[str, GoalSpec] = field(default_factory=dict)
     tasks: dict[str, TaskSet] = field(default_factory=dict)
     origin: str = "handwritten"  # ccs | handwritten
     truncated: bool = False
 
     def __post_init__(self) -> None:
+        self.states = tuple(self.states)
+        self.transitions = tuple(self.transitions)
+        self.initial = tuple(self.initial)
         ids = {s.id for s in self.states}
         if len(ids) != len(self.states):
             raise SchemaError("duplicate state id")
@@ -126,22 +140,20 @@ class AugmentedLTS:
                             f"task {task.name} in {name} references unknown transition {m}")
         self._by_id = {t.id: t for t in self.transitions}
         self._state_by_id = {s.id: s for s in self.states}
-        self._out: dict[str, list[Transition]] = {s.id: [] for s in self.states}
+        out: dict[str, list[Transition]] = {s.id: [] for s in self.states}
         for t in self.transitions:
-            self._out[t.source].append(t)
-        self._expr_cache: dict[str, Expr] = {}
-        # memos of cmp, of requested (what a component can fire, by state and
-        # component path; None when absent) and of validate_side_conditions
-        self._cmp: dict[str, str] | None = None
-        self._requests: dict[tuple[str, str], frozenset[str] | None] = {}
-        self._conditions: tuple[ConditionReport, ...] | None = None
-        # memos of tasks.extract_tasks and of verify's rooted walks, simple
-        # cycles, cycle verdicts and justness obligations
-        self._task_cache: dict[str, TaskSet] = {}
-        self._walk_cache: dict[int, dict[str, list[tuple[str, tuple[str, ...]]]]] = {}
-        self._cycle_cache: dict[tuple[str, int], list[tuple[str, ...]]] = {}
-        self._verdict_cache: dict[tuple[str, tuple[str, ...], str], bool] = {}
-        self._obligation_cache: dict[bool, dict[str, list[frozenset[str]]]] = {}
+            out[t.source].append(t)
+        self._out = {sid: tuple(ts) for sid, ts in out.items()}
+        self._moves = {sid: tuple(t for t in ts if not t.blocking) for sid, ts in out.items()}
+        self._memo: dict = {}
+
+    def memo(self, key: tuple, compute, *args):
+        """The table `key` of this system, from `compute(*args)` on the first
+        call; a call that raises stores nothing, so the error repeats."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute(*args)
+        return value
 
     # -- access helpers ----------------------------------------------------
 
@@ -157,29 +169,30 @@ class AugmentedLTS:
         except KeyError:
             raise SchemaError(f"unknown state id {sid}") from None
 
-    def outgoing(self, sid: str) -> list[Transition]:
-        return self._out[sid]
+    def outgoing(self, sid: str, reactive: bool = False) -> tuple[Transition, ...]:
+        """The transitions leaving a state; under `reactive`, only the
+        non-blocking ones."""
+        return (self._moves if reactive else self._out)[sid]
 
     def state_ids(self) -> list[str]:
         return [s.id for s in self.states]
 
     def state_expr(self, sid: str) -> Expr:
-        """Parsed expression of a ccs-origin state (cached)."""
-        if sid not in self._expr_cache:
-            text = self.state(sid).expr
-            if text is None:
-                raise AnnotationError(f"state {sid} carries no expression")
-            self._expr_cache[sid] = parse_expression(text)
-        return self._expr_cache[sid]
+        """Parsed expression of a ccs-origin state."""
+        return self.memo(("expr", sid), self._parse_state, sid)
+
+    def _parse_state(self, sid: str) -> Expr:
+        text = self.state(sid).expr
+        if text is None:
+            raise AnnotationError(f"state {sid} carries no expression")
+        return parse_expression(text)
 
     def cmp(self) -> dict[str, str]:
         """cmp: the component of each instruction, read off the initial
-        state's expression (ccs-origin systems only; computed once)."""
-        if self._cmp is None:
-            if self.origin != "ccs":
-                raise AnnotationError("instruction projection needs a ccs-origin system")
-            self._cmp = cmp_table(self.state_expr(self.initial[0]))
-        return self._cmp
+        state's expression (ccs-origin systems only)."""
+        if self.origin != "ccs":
+            raise AnnotationError("instruction projection needs a ccs-origin system")
+        return self.memo(("cmp",), lambda: cmp_table(self.state_expr(self.initial[0])))
 
     def comp_of(self, tid: str) -> frozenset[str]:
         c = self.transition(tid).comp
@@ -194,11 +207,8 @@ class AugmentedLTS:
         return i
 
     def instructions(self) -> list[str]:
-        out: set[str] = set()
-        for t in self.transitions:
-            if t.instr:
-                out |= t.instr
-        return sorted(out)
+        return list(self.memo(("instructions",), lambda: sorted(
+            {i for t in self.transitions if t.instr for i in t.instr})))
 
 
 def from_exploration(report) -> AugmentedLTS:
@@ -233,17 +243,44 @@ def _goal_from_json(doc) -> GoalSpec:
     if not isinstance(doc, dict) or "disjuncts" not in doc:
         raise SchemaError("goal must be an object with a disjuncts list")
     preds = []
-    for d in doc["disjuncts"]:
+    for d in _list_of(doc["disjuncts"], dict, "goal disjuncts"):
         kind = d.get("kind")
         if kind == "explicit":
-            preds.append(GoalPredicate("explicit", states=frozenset(d["states"])))
-        elif kind == "state_is":
-            preds.append(GoalPredicate("state_is", expr=d["expr"]))
-        elif kind == "component_at":
-            preds.append(GoalPredicate("component_at", expr=d["expr"], path=d.get("path", "")))
+            states = _list_of(d.get("states"), str, "explicit goal states")
+            preds.append(GoalPredicate("explicit", states=frozenset(states)))
+        elif kind in ("state_is", "component_at"):
+            pred = GoalPredicate(kind, expr=d.get("expr"),
+                                 path=d.get("path", "") if kind == "component_at" else "")
+            if not (isinstance(pred.expr, str) and isinstance(pred.path, str)):
+                raise SchemaError(f'a {kind} goal needs string "expr" and "path" fields')
+            preds.append(pred)
         else:
             raise SchemaError(f"unknown goal predicate kind {kind}")
     return GoalSpec(tuple(preds))
+
+
+def read_json(document: str):
+    """The value of a JSON document; malformed or too deeply nested text
+    is a SchemaError."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object")
+    return value
+
+
+def _list_of(value, kind: type, what: str) -> list:
+    """`value`, which must be a list of `kind` (str or dict)."""
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise SchemaError(f"{what} must be a list of {'strings' if kind is str else 'objects'}")
+    return value
 
 
 def read_tasks(entries) -> tuple[Task, ...]:
@@ -271,10 +308,7 @@ def save_lts(lts: AugmentedLTS) -> str:
             for t in lts.transitions],
         "initial": list(lts.initial),
         "goals": {name: _goal_to_json(g) for name, g in sorted(lts.goals.items())},
-        "tasks": {name: {"notion": ts.notion,
-                         "tasks": [{"name": t.name, "members": sorted(t.members)}
-                                   for t in ts.tasks]}
-                  for name, ts in sorted(lts.tasks.items())},
+        "tasks": {name: ts.to_json() for name, ts in sorted(lts.tasks.items())},
         "origin": lts.origin,
         "truncated": lts.truncated,
     }
@@ -282,38 +316,43 @@ def save_lts(lts: AugmentedLTS) -> str:
 
 
 def load_lts(document: str) -> AugmentedLTS:
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    doc = _object(read_json(document), "top level")
     for key in ("states", "transitions", "initial"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
     states = []
-    for s in doc["states"]:
+    for s in _list_of(doc["states"], dict, '"states"'):
         if "id" not in s:
             raise SchemaError("state without id")
+        if not isinstance(s["id"], str) or not isinstance(s.get("expr", ""), (str, type(None))):
+            raise SchemaError('state fields "id" and "expr" must be strings')
         states.append(State(s["id"], s.get("expr")))
     transitions = []
-    for t in doc["transitions"]:
+    for t in _list_of(doc["transitions"], dict, '"transitions"'):
         for key in ("id", "source", "target", "label"):
             if key not in t:
                 raise SchemaError(f"transition missing field {key!r}")
+            if not isinstance(t[key], str):
+                raise SchemaError(f"transition field {key!r} must be a string")
         label = parse_label(t["label"])
-        instr = frozenset(t["instr"]) if "instr" in t and t["instr"] is not None else None
-        comp = frozenset(t["comp"]) if "comp" in t and t["comp"] is not None else None
+        instr, comp = (None if t.get(key) is None else
+                       frozenset(_list_of(t[key], str, f"transition {t['id']} field {key!r}"))
+                       for key in ("instr", "comp"))
         blocking = t.get("blocking", not label.is_tau)
+        if not isinstance(blocking, bool):
+            raise SchemaError(f"transition {t['id']} field 'blocking' must be true or false")
         transitions.append(Transition(t["id"], t["source"], t["target"], label,
                                       instr, comp, blocking))
-    goals = {name: _goal_from_json(g) for name, g in doc.get("goals", {}).items()}
+    goals = {name: _goal_from_json(g)
+             for name, g in _object(doc.get("goals", {}), '"goals"').items()}
     tasks = {}
-    for name, ts in doc.get("tasks", {}).items():
-        if not isinstance(ts, dict):
-            raise SchemaError(f"task set {name!r} must be an object")
+    for name, ts in _object(doc.get("tasks", {}), '"tasks"').items():
+        ts = _object(ts, f"task set {name!r}")
         tasks[name] = TaskSet(ts.get("notion", "custom"), read_tasks(ts.get("tasks", [])))
-    return AugmentedLTS(states, transitions, doc["initial"], goals, tasks,
+    initial = _list_of(doc["initial"], str, '"initial"')
+    if not isinstance(doc.get("truncated", False), bool):
+        raise SchemaError('"truncated" must be true or false')
+    return AugmentedLTS(states, transitions, initial, goals, tasks,
                         doc.get("origin", "handwritten"), doc.get("truncated", False))
 
 
@@ -368,14 +407,15 @@ def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
     path = lts.cmp().get(instruction)
     if path is None:
         raise AnnotationError(f"unknown instruction {instruction!r}")
-    if (state, path) not in lts._requests:
-        comp = project(lts.state_expr(state), path)
-        lts._requests[state, path] = (None if comp is None else
-                                      frozenset(i for s in step(comp) for i in s.instr))
-    fires = lts._requests[state, path]
+    fires = lts.memo(("requests", state, path), _fires, lts, state, path)
     if fires is None:
         raise AnnotationError(f"component {path!r} absent in state {state}")
     return instruction in fires
+
+
+def _fires(lts: AugmentedLTS, state: str, path: str) -> frozenset[str] | None:
+    comp = project(lts.state_expr(state), path)
+    return None if comp is None else frozenset(i for s in step(comp) for i in s.instr)
 
 
 def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
@@ -405,9 +445,7 @@ def validate_side_conditions(lts: AugmentedLTS) -> list[ConditionReport]:
     bounded report (checked over the explored part).  Computed once per
     system; each call returns a fresh list.
     """
-    if lts._conditions is None:
-        lts._conditions = tuple(_validate(lts))
-    return list(lts._conditions)
+    return list(lts.memo(("conditions",), _validate, lts))
 
 
 def _validate(lts: AugmentedLTS) -> list[ConditionReport]:

@@ -3,11 +3,10 @@ under every progress/justness/fairness assumption."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .lts import (AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet,
+from .lts import (AnnotationError, AugmentedLTS, Task, TaskSet, read_json,
                   requested_if_present)
 from .tasks import NOTIONS, extract_tasks
 
@@ -74,10 +73,7 @@ class Lasso:
 def path_from_json(document: str) -> Lasso | PathPrefix:
     """Read a lasso {"start": s, "stem": [t...], "cycle": [t...]} (stem
     optional) or, when there is no cycle, a prefix {"start": s, "steps": [t...]}."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
+    doc = read_json(document)
     if not isinstance(doc, dict) or not isinstance(doc.get("start"), str):
         raise PathError('a path must be an object with a "start" state id')
 
@@ -161,15 +157,10 @@ def resolve_tasks(lts: AugmentedLTS, assumption: Assumption) -> TaskSet:
 # Enabledness.
 # ---------------------------------------------------------------------------
 
-def _eligible(lts: AugmentedLTS, t, reactive: bool) -> bool:
-    return not (reactive and t.blocking)
-
-
 def enabled(lts: AugmentedLTS, task: Task, state: str, reactive: bool = False) -> bool:
     """A task is enabled in a state if a member (non-blocking, when reactive)
     leaves that state."""
-    return any(t.id in task.members and _eligible(lts, t, reactive)
-               for t in lts.outgoing(state))
+    return any(t.id in task.members for t in lts.outgoing(state, reactive))
 
 
 def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False) -> bool:
@@ -177,26 +168,23 @@ def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False
     concurrent with u (disjoint component sets)."""
     ut = lts.transition(u)
     ucomp = lts.comp_of(u)
-    for t in lts.outgoing(ut.source):
-        if t.id in task.members and _eligible(lts, t, reactive):
-            if not (lts.comp_of(t.id) & ucomp):
-                return True
+    for t in lts.outgoing(ut.source, reactive):
+        if t.id in task.members and not (lts.comp_of(t.id) & ucomp):
+            return True
     return False
 
 
 def instr_enabled(lts: AugmentedLTS, instruction: str, state: str,
                   reactive: bool = False) -> bool:
     return any(t.instr is not None and instruction in t.instr
-               and _eligible(lts, t, reactive)
-               for t in lts.outgoing(state))
+               for t in lts.outgoing(state, reactive))
 
 
 def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
                   reactive: bool = False) -> set[int]:
     """Indices of the tasks of ts enabled in the state: one lookup per
     outgoing transition."""
-    return {k for t in lts.outgoing(state) if _eligible(lts, t, reactive)
-            for k in ts.containing.get(t.id, ())}
+    return {k for t in lts.outgoing(state, reactive) for k in ts.containing.get(t.id, ())}
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +252,14 @@ def _just_lasso(lts: AugmentedLTS, lasso: Lasso, reactive: bool) -> bool:
 
     at = lasso.start
     for k in range(len(lasso.stem) + 1):
-        for t in lts.outgoing(at):
-            if reactive and t.blocking:
-                continue
+        for t in lts.outgoing(at, reactive):
             if not discharged_from(k, t):
                 return False
         if k < len(lasso.stem):
             at = lts.transition(lasso.stem[k]).target
     # states on the cycle: every occurrence is followed by the whole cycle
     for s in lasso.cycle_states(lts):
-        for t in lts.outgoing(s):
-            if reactive and t.blocking:
-                continue
+        for t in lts.outgoing(s, reactive):
             if not (lts.comp_of(t.id) & cyc_comp):
                 return False
     return True
@@ -290,7 +274,7 @@ def classify_finite(lts: AugmentedLTS, prefix: PathPrefix, assumption: Assumptio
     prefix.validate(lts)
     reactive = assumption.reactive
     last = prefix.end(lts)
-    outs = [t for t in lts.outgoing(last) if _eligible(lts, t, reactive)]
+    outs = lts.outgoing(last, reactive)
     if assumption.kind in ("P", "Just"):
         return not outs
     if assumption.kind == "SWI":

@@ -7,10 +7,8 @@ Task names are canonical strings ("A:a", "T:t17", "Z:{x@1,y@2}", "C:LR",
 
 from __future__ import annotations
 
-import json
-
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet,
-                  read_tasks)
+                  read_json, read_tasks)
 
 NOTIONS = ("A", "T", "I", "Z", "C", "G")
 
@@ -27,9 +25,10 @@ def extract_tasks(lts: AugmentedLTS, notion: str) -> TaskSet:
     """
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}")
-    cache = lts._task_cache
-    if notion in cache:
-        return cache[notion]
+    return lts.memo(("tasks", notion), _extract, lts, notion)
+
+
+def _extract(lts: AugmentedLTS, notion: str) -> TaskSet:
     buckets: dict[str, set[str]] = {}
 
     def put(name: str, tid: str) -> None:
@@ -58,18 +57,13 @@ def extract_tasks(lts: AugmentedLTS, notion: str) -> TaskSet:
             if t.comp is None:
                 raise AnnotationError("notion G needs component annotations")
             put("G:{" + ",".join(sorted(_path_name(c) for c in t.comp)) + "}", t.id)
-    ts = TaskSet(notion, tuple(Task(name, frozenset(members))
-                               for name, members in sorted(buckets.items())))
-    cache[notion] = ts
-    return ts
+    return TaskSet(notion, tuple(Task(name, frozenset(members))
+                                 for name, members in sorted(buckets.items())))
 
 
 def load_custom_tasks(lts: AugmentedLTS, document: str) -> TaskSet:
     """Parse a {"tasks": [{"name":..., "members":[...]}]} document against lts."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
+    doc = read_json(document)
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise SchemaError("custom task file needs a top-level tasks list")
     tasks = read_tasks(doc["tasks"])

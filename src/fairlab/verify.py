@@ -4,14 +4,13 @@ probabilistic estimation, and hierarchy checking."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
-                  validate_side_conditions)
+                  read_json, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
                     classify_lasso, enabled_tasks)
 
@@ -55,14 +54,15 @@ def reachable_states(lts: AugmentedLTS, frm: set[str] | None = None,
     return seen
 
 
-def _co_reachable(lts: AugmentedLTS, goal: frozenset[str], eligible=None) -> dict[str, int]:
-    """Fewest eligible steps from each state to the goal, by one reverse
-    breadth-first walk; a state that cannot reach the goal is absent."""
+def _co_reachable(lts: AugmentedLTS, goal: frozenset[str],
+                  reactive: bool = False) -> dict[str, int]:
+    """Fewest steps (non-blocking ones, when reactive) from each state to the
+    goal, by one reverse breadth-first walk; a state that cannot reach the
+    goal is absent."""
     pred: dict[str, list[str]] = {s.id: [] for s in lts.states}
-    for t in lts.transitions:
-        if eligible is not None and not eligible(t):
-            continue
-        pred[t.target].append(t.source)
+    for s in lts.states:
+        for t in lts.outgoing(s.id, reactive):
+            pred[t.target].append(t.source)
     dist = dict.fromkeys(goal, 0)
     layer = list(goal)
     while layer:
@@ -84,9 +84,7 @@ def agef(lts: AugmentedLTS, goal: frozenset[str], reactive: bool = False) -> boo
 
 def _hopeless(lts: AugmentedLTS, goal: frozenset[str], reactive: bool) -> set[str]:
     """Reachable states from which the goal is unreachable."""
-    okay = _co_reachable(lts, goal,
-                         eligible=(lambda t: not t.blocking) if reactive else None)
-    return reachable_states(lts).difference(okay)
+    return reachable_states(lts).difference(_co_reachable(lts, goal, reactive))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,10 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
         return Verdict("no", name, goal_name, witness=witness,
                        notes=[note, "witness ends where the goal is unreachable"])
 
-    region, region_out = _avoiding_region(lts, goal)
+    # states reachable from a non-goal initial state without touching the goal
+    region = reachable_states(lts, {s for s in lts.initial if s not in goal},
+                              lambda t: t.target not in goal)
+    region_out = {s: [t for t in lts.outgoing(s) if t.target in region] for s in region}
 
     # (a) finite complete counterexamples
     for sid in sorted(region):
@@ -140,25 +141,6 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
         return Verdict("no", name, goal_name, witness=witness,
                        notes=["fair infinite run avoiding the goal"])
     return Verdict("yes", name, goal_name)
-
-
-def _avoiding_region(lts: AugmentedLTS, goal: frozenset[str]):
-    """States reachable from a non-goal initial state without touching the
-    goal, with the transition map of the induced subgraph."""
-    bad_init = [s for s in lts.initial if s not in goal]
-    region: set[str] = set()
-    frontier = list(bad_init)
-    region.update(bad_init)
-    while frontier:
-        s = frontier.pop()
-        for t in lts.outgoing(s):
-            if t.target in goal or t.target in region:
-                continue
-            region.add(t.target)
-            frontier.append(t.target)
-    region_out = {s: [t for t in lts.outgoing(s) if t.target in region]
-                  for s in region}
-    return region, region_out
 
 
 def _stem_into(lts: AugmentedLTS, region: set[str], targets: set[str]):
@@ -362,9 +344,7 @@ def _find_stem(lts: AugmentedLTS, region: set[str], cset: set[str], entry: str,
 
     def obligations(sid: str) -> frozenset[frozenset[str]]:
         out = set()
-        for t in lts.outgoing(sid):
-            if assumption.reactive and t.blocking:
-                continue
+        for t in lts.outgoing(sid, assumption.reactive):
             c = lts.comp_of(t.id)
             if not (c & comp_u):
                 out.add(frozenset(c))
@@ -533,9 +513,10 @@ class HierarchyReport:
 
 def rooted_walks(lts: AugmentedLTS, max_len: int) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     """All rooted walks of length <= max_len, grouped by end state."""
-    cache = lts._walk_cache
-    if max_len in cache:
-        return cache[max_len]
+    return lts.memo(("walks", max_len), _rooted_walks, lts, max_len)
+
+
+def _rooted_walks(lts: AugmentedLTS, max_len: int) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     out: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
     layer = [(s, s, ()) for s in lts.initial]
     for s in lts.initial:
@@ -548,17 +529,16 @@ def rooted_walks(lts: AugmentedLTS, max_len: int) -> dict[str, list[tuple[str, t
                 out.setdefault(t.target, []).append(w)
                 nxt.append((start, t.target, steps + (t.id,)))
         layer = nxt
-    cache[max_len] = out
     return out
 
 
 def simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple[str, ...]]:
     """Cycles without a repeated transition, of length <= max_len, anchored at
     `start`.  States may recur (a loop plus its exit is a valid cycle)."""
-    cache = lts._cycle_cache
-    key = (start, max_len)
-    if key in cache:
-        return cache[key]
+    return lts.memo(("cycles", start, max_len), _simple_cycles_at, lts, start, max_len)
+
+
+def _simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple[str, ...]]:
     out: list[tuple[str, ...]] = []
     stack: list[tuple[str, tuple[str, ...]]] = [(start, ())]
     while stack:
@@ -570,7 +550,6 @@ def simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple[
                 out.append(steps + (t.id,))
             if len(steps) + 1 < max_len:
                 stack.append((t.target, steps + (t.id,)))
-    cache[key] = out
     return out
 
 
@@ -582,21 +561,19 @@ def _cycle_verdict(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
     `_just_stem_ok`.  Every other assumption is stem-insensitive, so this is
     the verdict of any lasso carrying this cycle.
     """
-    cache = lts._verdict_cache
-    key = (entry, cycle, str(a))
-    if key not in cache:
-        cache[key] = classify_lasso(lts, Lasso(entry, (), cycle), a)
-    return cache[key]
+    return lts.memo(("verdict", entry, cycle, a), _classify_cycle, lts, entry, cycle, a)
+
+
+def _classify_cycle(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
+                    a: Assumption) -> bool:
+    return classify_lasso(lts, Lasso(entry, (), cycle), a)
 
 
 def _obligations_by_state(lts: AugmentedLTS, reactive: bool) -> dict[str, list[frozenset[str]]]:
-    cache = lts._obligation_cache
-    if reactive not in cache:
-        cache[reactive] = {
-            s.id: [lts.comp_of(t.id) for t in lts.outgoing(s.id)
-                   if not (reactive and t.blocking)]
-            for s in lts.states}
-    return cache[reactive]
+    """The component sets each state's transitions (non-blocking ones, when
+    reactive) oblige a just path to interfere with."""
+    return lts.memo(("obligations", reactive), lambda: {
+        s.id: [lts.comp_of(t.id) for t in lts.outgoing(s.id, reactive)] for s in lts.states})
 
 
 def _just_stem_ok(lts: AugmentedLTS, start: str, steps: tuple[str, ...],
@@ -641,45 +618,30 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
     s_just = stronger.kind == "Just"
     w_just = weaker.kind == "Just"
     try:
-        obligations = (_obligations_by_state(lts, stronger.reactive or weaker.reactive)
-                       if (s_just or w_just) else None)
+        # each justness side owes the obligations of its own ,reactive flag
+        s_obligations = _obligations_by_state(lts, stronger.reactive) if s_just else None
+        w_obligations = _obligations_by_state(lts, weaker.reactive) if w_just else None
         for entry in sorted(walks):
             stems = walks[entry]
             for cycle in simple_cycles_at(lts, entry, bounds.cycle):
-                s_cyc = _cycle_verdict(lts, entry, cycle, stronger)
-                if not s_cyc:
-                    report.checked += len(stems)
+                report.checked += len(stems)
+                if not _cycle_verdict(lts, entry, cycle, stronger):
                     continue
                 w_cyc = _cycle_verdict(lts, entry, cycle, weaker)
-                if not (s_just or w_just):
-                    report.checked += len(stems)
-                    if not w_cyc:
-                        start, steps = stems[0]
-                        report.violations.append(Lasso(start, steps, cycle))
-                        return report
+                if w_cyc and not w_just:
                     continue
-                comps_u = frozenset().union(*(lts.comp_of(t) for t in cycle))
-                if s_just:
-                    # a violation needs a genuinely just lasso and an unfair
-                    # (stem-insensitive) weaker side
-                    report.checked += len(stems)
-                    if w_cyc:
+                # only justness looks at the stem: a violation is the first
+                # stem that keeps the stronger side fair and the weaker not
+                comps_u = (frozenset().union(*(lts.comp_of(t) for t in cycle))
+                           if s_just or w_just else None)
+                for start, steps in stems:
+                    if s_just and not _just_stem_ok(lts, start, steps, comps_u,
+                                                    s_obligations):
                         continue
-                    for start, steps in stems:
-                        if _just_stem_ok(lts, start, steps, comps_u, obligations):
-                            report.violations.append(Lasso(start, steps, cycle))
-                            return report
-                else:
-                    # weaker is justness: stronger-fair holds for every stem
-                    report.checked += len(stems)
-                    if not w_cyc:
-                        start, steps = stems[0]
-                        report.violations.append(Lasso(start, steps, cycle))
-                        return report
-                    for start, steps in stems:
-                        if not _just_stem_ok(lts, start, steps, comps_u, obligations):
-                            report.violations.append(Lasso(start, steps, cycle))
-                            return report
+                    if w_cyc and _just_stem_ok(lts, start, steps, comps_u, w_obligations):
+                        continue
+                    report.violations.append(Lasso(start, steps, cycle))
+                    return report
     except AnnotationError as exc:
         report.skipped = f"missing annotations: {exc}"
         report.checked = 0
@@ -733,10 +695,7 @@ class ProbEstimate:
 
 def parse_weights(document: str) -> dict[str, Fraction]:
     """Parse a {"weights": {transition id: number}} document."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
+    doc = read_json(document)
     if not isinstance(doc, dict) or not isinstance(doc.get("weights"), dict):
         raise SchemaError('weights file needs a top-level "weights" object')
     out = {}

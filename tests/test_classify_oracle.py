@@ -1,8 +1,11 @@
 """Differential tests of the table-driven classifier and the requested table.
 
 The oracles are the per-task scans the classifier replaced: every task of
-the collection is tested at every cycle state with `enabled`, and
-`requested` projects and steps the state expression on every query.  The
+the collection is tested at every cycle state, and `requested` projects and
+steps the state expression on every query.  The oracles drop blocking
+transitions under ,reactive themselves, from the unfiltered
+`lts.outgoing(state)`, and justness is checked against the stem-by-stem
+scan the classifier used before `outgoing` took the flag.  The
 oracle walks the cycle in cycle order, as the classifier does; the scans
 it copies walked a frozenset of the cycle's transitions, whose order (and
 so which AnnotationError a partially annotated system raised first, if
@@ -20,8 +23,7 @@ from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
 from fairlab.labels import parse_label
 from fairlab.parser import parse_ccs
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
-                           classify_lasso, enabled, enabled_during,
-                           instr_enabled, resolve_tasks)
+                           classify_lasso, resolve_tasks)
 from fairlab.semantics import explore, step
 from fairlab.syntax import cmp_table, project
 from fairlab.verify import Bounds, rooted_walks, simple_cycles_at
@@ -49,11 +51,62 @@ def _direct_requested_quiet(lts, instruction, state):
         return False
 
 
+def _moves(lts, state, reactive):
+    return [t for t in lts.outgoing(state) if not (reactive and t.blocking)]
+
+
+def _enabled(lts, task, state, reactive):
+    return any(t.id in task.members for t in _moves(lts, state, reactive))
+
+
+def _enabled_during(lts, task, u, reactive):
+    ucomp = lts.comp_of(u)
+    return any(t.id in task.members and not (lts.comp_of(t.id) & ucomp)
+               for t in _moves(lts, lts.transition(u).source, reactive))
+
+
+def _instr_enabled(lts, instruction, state, reactive):
+    return any(t.instr is not None and instruction in t.instr
+               for t in _moves(lts, state, reactive))
+
+
+def _just_lasso(lts, lasso, reactive):
+    """Every transition enabled along the lasso is interfered with later."""
+    cyc_comp = set()
+    for u in lasso.cycle:
+        cyc_comp |= lts.comp_of(u)
+
+    def discharged_from(position, t):
+        tcomp = lts.comp_of(t.id)
+        if tcomp & cyc_comp:
+            return True
+        return any(lts.comp_of(u) & tcomp for u in lasso.stem[position:])
+
+    at = lasso.start
+    for k in range(len(lasso.stem) + 1):
+        for t in lts.outgoing(at):
+            if reactive and t.blocking:
+                continue
+            if not discharged_from(k, t):
+                return False
+        if k < len(lasso.stem):
+            at = lts.transition(lasso.stem[k]).target
+    for s in lasso.cycle_states(lts):
+        for t in lts.outgoing(s):
+            if reactive and t.blocking:
+                continue
+            if not (lts.comp_of(t.id) & cyc_comp):
+                return False
+    return True
+
+
 def _oracle_lasso(lts, lasso, assumption):
     """J/W/S and SWI by one scan per task (per instruction) of the cycle."""
     lasso.validate(lts)
     reactive = assumption.reactive
     cyc_states = sorted(lasso.cycle_states(lts))
+    if assumption.kind == "Just":
+        return _just_lasso(lts, lasso, reactive)
     if assumption.kind == "SWI":
         instrs = lts.instructions()
         if not instrs:
@@ -62,19 +115,19 @@ def _oracle_lasso(lts, lasso, assumption):
             if any(i in lts.instr_of(t) for t in lasso.cycle):
                 continue
             if (all(_direct_requested_quiet(lts, i, s) for s in cyc_states)
-                    and any(instr_enabled(lts, i, s, reactive) for s in cyc_states)):
+                    and any(_instr_enabled(lts, i, s, reactive) for s in cyc_states)):
                 return False
         return True
     for task in resolve_tasks(lts, assumption).tasks:
         if task.members & set(lasso.cycle):
             continue
-        per_state = [enabled(lts, task, s, reactive) for s in cyc_states]
+        per_state = [_enabled(lts, task, s, reactive) for s in cyc_states]
         if assumption.kind == "W" and all(per_state):
             return False
         if assumption.kind == "S" and any(per_state):
             return False
         if assumption.kind == "J" and all(per_state) and all(
-                enabled_during(lts, task, u, reactive) for u in lasso.cycle):
+                _enabled_during(lts, task, u, reactive) for u in lasso.cycle):
             return False
     return True
 
@@ -82,10 +135,11 @@ def _oracle_lasso(lts, lasso, assumption):
 def _oracle_finite(lts, prefix, assumption):
     prefix.validate(lts)
     last = prefix.end(lts)
+    if assumption.kind == "Just":
+        return not _moves(lts, last, assumption.reactive)
     if assumption.kind == "SWI":
-        return not any(t.instr for t in lts.outgoing(last)
-                       if not (assumption.reactive and t.blocking))
-    return not any(enabled(lts, task, last, assumption.reactive)
+        return not any(t.instr for t in _moves(lts, last, assumption.reactive))
+    return not any(_enabled(lts, task, last, assumption.reactive)
                    for task in resolve_tasks(lts, assumption).tasks)
 
 
@@ -100,7 +154,7 @@ def _assumptions(lts, extra=()):
     tasksets = [(y, None) for y in NOTIONS]
     tasksets += [("custom", ts) for _, ts in sorted(lts.tasks.items())]
     tasksets += [("custom", ts) for ts in extra]
-    out = [Assumption("SWI", reactive=r) for r in (False, True)]
+    out = [Assumption(kind, reactive=r) for kind in ("SWI", "Just") for r in (False, True)]
     for kind in "JWS":
         for notion, ts in tasksets:
             for reactive in (False, True):

@@ -316,6 +316,36 @@ def test_malformed_path_and_task_files_are_one_line_errors(tmp_path, capsys):
     cases += [(["tasks", lts, "--custom", str(tasks)], want),
               (["liveness", lts, "--goal", "crit", "--assume", f"W:custom={tasks}"], want),
               (["validate", str(broken_lts)], want)]
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    want = "not valid JSON: nested too deeply"
+    cases += [(["validate", str(deep)], want),
+              (["classify", lts, str(deep), "--assume", "P"], want),
+              (["liveness", lts, "--goal", "crit", "--assume", f"W:custom={deep}"], want),
+              (["simulate", str(DATA / "prob-notagef.json"), "--goal", "win",
+                "--weights", str(deep)], want)]
+    for k, (mutate, want) in enumerate((
+            (lambda d: d.update(states=[1]), '"states" must be a list of objects'),
+            (lambda d: d.update(states="x"), '"states" must be a list of objects'),
+            (lambda d: d.update(transitions=[1]), '"transitions" must be a list of objects'),
+            (lambda d: d["transitions"][0].update(instr=5),
+             "transition l1 field 'instr' must be a list of strings"),
+            (lambda d: d["transitions"][0].update(label=5),
+             "transition field 'label' must be a string"),
+            (lambda d: d["transitions"][0].update(blocking="no"),
+             "transition l1 field 'blocking' must be true or false"),
+            (lambda d: d["goals"]["crit"]["disjuncts"].append(1),
+             "goal disjuncts must be a list of objects"),
+            (lambda d: d.update(goals=[]), '"goals" must be an object'),
+            (lambda d: d.update(tasks=[]), '"tasks" must be an object'),
+            (lambda d: d.update(initial="init"), '"initial" must be a list of strings'),
+            (lambda d: d.update(truncated="false"), '"truncated" must be true or false'))):
+        doc = json.loads((DATA / "ex-4.2-mutex-mem.json").read_text())
+        mutate(doc)
+        path = tmp_path / f"lts{k}.json"
+        path.write_text(json.dumps(doc))
+        cases += [(["validate", str(path)], want),
+                  (["liveness", str(path), "--goal", "crit", "--assume", "P"], want)]
     for argv, want in cases:
         assert main(argv) == 1, argv
         assert want in _one_line_error(capsys), argv

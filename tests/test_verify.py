@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from fairlab.corpus import build_all, t_by
-from fairlab.lts import named_goal
+from fairlab.labels import parse_label
+from fairlab.lts import AugmentedLTS, State, Task, TaskSet, Transition, named_goal
 from fairlab.paths import Assumption, Lasso, PathPrefix, classify_lasso
 from fairlab.tasks import extract_tasks
 from fairlab.verify import (Bounds, agef, fair_extend, fair_lasso,
                             hierarchy_check, liveness, loopfree_witness,
-                            simulate)
+                            rooted_walks, simple_cycles_at, simulate)
 
 
 def _built(pattern):
@@ -129,6 +130,63 @@ def test_hierarchy_finds_separating_lasso_for_absent_arrow():
     lasso = report.violations[0]
     assert classify_lasso(built.lts, lasso, Assumption("S", "A"))
     assert not classify_lasso(built.lts, lasso, Assumption("S", "T"))
+
+
+def _random_annotated_system(rng) -> AugmentedLTS:
+    n = rng.randint(1, 4)
+    transitions = [Transition(f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
+                              parse_label(rng.choice(["a", "b", "tau"])), None,
+                              frozenset(rng.sample(["L", "R", "M"], rng.randint(1, 2))),
+                              rng.random() < 0.5)
+                   for k in range(rng.randint(1, 4))]
+    return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"])
+
+
+def test_hierarchy_judges_each_side_under_its_own_reactive_flag():
+    """Arrows between justness and J/W/S:A, P or justness, both ways, with
+    equal and with opposite ,reactive flags: the checker reports exactly the
+    first lasso that a brute force over the same rooted walks and simple
+    cycles finds to be stronger-fair and weaker-unfair, and none when there
+    is none."""
+    rng = random.Random(2)
+    bounds = Bounds(2, 3)
+    kinds = [("Just", ""), ("J", "A"), ("W", "A"), ("S", "A"), ("P", "")]
+    assumptions = [Assumption(kind, notion, None, reactive)
+                   for kind, notion in kinds for reactive in (False, True)]
+    pairs = [(a, b) for a in assumptions for b in assumptions
+             if a != b and "Just" in (a.kind, b.kind)]
+    mismatches, separated = [], 0
+    for _ in range(400):
+        lts = _random_annotated_system(rng)
+        walks = rooted_walks(lts, bounds.stem)
+        lassos = [Lasso(start, steps, cycle) for entry in sorted(walks)
+                  for cycle in simple_cycles_at(lts, entry, bounds.cycle)
+                  for start, steps in walks[entry]]
+        fair = {a: [classify_lasso(lts, lasso, a) for lasso in lassos] for a in assumptions}
+        for stronger, weaker in pairs:
+            first = next((lasso for lasso, s, w in zip(lassos, fair[stronger], fair[weaker])
+                          if s and not w), None)
+            report = hierarchy_check(lts, stronger, weaker, bounds)
+            assert not report.skipped
+            separated += first is not None
+            if report.violations != ([first] if first else []):
+                mismatches.append((str(stronger), str(weaker), report.violations, first))
+    assert not mismatches, (len(mismatches), mismatches[:3])
+    assert separated > 500
+
+
+def test_hierarchy_tells_custom_task_sets_apart():
+    # one task holding every transition makes S as weak as P; one task per
+    # transition makes it S:T, which the mutex's m-cycle violates
+    lts = _built("ex-4.2-mutex-mem")["ex-4.2-mutex-mem"].lts
+    tids = [t.id for t in lts.transitions]
+    every = Assumption("S", "custom", TaskSet("custom", (Task("all", frozenset(tids)),)))
+    each = Assumption("S", "custom", TaskSet("custom", tuple(
+        Task(tid, frozenset([tid])) for tid in tids)))
+    expected = hierarchy_check(lts, Assumption("P"), each, Bounds(3, 4)).violations
+    assert expected
+    assert hierarchy_check(lts, every, each, Bounds(3, 4)).violations == expected
+    assert not hierarchy_check(lts, each, every, Bounds(3, 4)).violations
 
 
 def test_hierarchy_skips_on_missing_side_condition():
