@@ -155,6 +155,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if args.steps < 0:
+        raise SystemExit2(f"extend needs --steps >= 0, got {args.steps}")
     lts = _load_lts_file(args.lts)
     ts = _taskset(lts, args)
     if args.prefix:
@@ -171,10 +173,13 @@ def cmd_hierarchy(args) -> int:
     weaker = parse_assumption(args.weaker, partial(_task_file, lts))
     stem, _, cycle = (args.bounds or "5,6").partition(",")
     try:
-        bounds = Bounds(int(stem), int(cycle or stem))
+        stem, cycle = int(stem), int(cycle or stem)
     except ValueError:
-        raise SystemExit2(f"--bounds needs STEM[,CYCLE] integers, "
-                          f"not {args.bounds!r}") from None
+        raise SystemExit2(f"--bounds needs STEM[,CYCLE] integers, not {args.bounds!r}") from None
+    try:
+        bounds = Bounds(stem, cycle)
+    except ValueError as exc:
+        raise SystemExit2(f"--bounds {exc}") from None
     report = hierarchy_check(lts, stronger, weaker, bounds, tuple(args.requires or ()))
     doc = {"stronger": report.stronger, "weaker": report.weaker,
            "checked": report.checked, "skipped": report.skipped,
@@ -222,6 +227,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_loopfree(args) -> int:
+    if args.length < 0:
+        raise SystemExit2(f"loopfree needs --length >= 0, got {args.length}")
     lts = _load_lts_file(args.lts)
     witness = loopfree_witness(lts, named_goal(lts, args.goal), args.length)
     if witness is None:

@@ -181,11 +181,7 @@ def _tokenize(text: str) -> list[str]:
             out.append(c)
             i += 1
             continue
-        if c in ("F", "G") and (i + 1 >= n or not (text[i + 1].isalnum() or text[i + 1] in "_:(")):
-            out.append(c)
-            i += 1
-            continue
-        if c in ("F", "G") and i + 1 < n and text[i + 1] == "(":
+        if c in ("F", "G") and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] in "_:")):
             out.append(c)
             i += 1
             continue

@@ -4,6 +4,8 @@ Expressions carry per-occurrence instruction names on action prefixes; the
 canonical printer always prints them, so the printed form of a closed
 expression is a faithful state key.  Component paths are words over {L, R}
 addressing the arms of parallel compositions (empty word = whole system).
+`walk` is the traversal new code should use: it yields every subterm with
+its component path, without recursion.
 """
 
 from __future__ import annotations
@@ -141,28 +143,32 @@ def print_expr(e: Expr) -> str:
 def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, (Choice, Par)):
         return (e.left, e.right)
-    if isinstance(e, Prefix):
-        return (e.body,)
-    if isinstance(e, (Restrict, Relabel)):
+    if isinstance(e, (Prefix, Restrict, Relabel)):
         return (e.body,)
     return ()
 
 
+def walk(e: Expr):
+    """Every subterm of e with its component path, in pre-order and textual
+    order.  Fix bodies are included and only parallel arms extend the path;
+    iterative, so no nesting depth exhausts the stack."""
+    stack = [(e, "")]
+    while stack:
+        n, path = stack.pop()
+        yield n, path
+        if isinstance(n, (Prefix, Restrict, Relabel)):
+            stack.append((n.body, path))
+        elif isinstance(n, Choice):
+            stack += ((n.right, path), (n.left, path))
+        elif isinstance(n, Par):
+            stack += ((n.right, path + "R"), (n.left, path + "L"))
+        elif isinstance(n, Fix):
+            stack.extend((b, path) for _, b in reversed(n.spec.bindings))
+
+
 def iter_prefixes(e: Expr):
     """All action-prefix occurrences of e, in textual order (fix bodies included)."""
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Prefix):
-            yield n
-            stack.append(n.body)
-        elif isinstance(n, (Choice, Par)):
-            stack.extend((n.right, n.left))
-        elif isinstance(n, (Restrict, Relabel)):
-            stack.append(n.body)
-        elif isinstance(n, Fix):
-            for _, b in reversed(n.spec.bindings):
-                stack.append(b)
+    return (n for n, _ in walk(e) if isinstance(n, Prefix))
 
 
 def all_names(e: Expr) -> set[str]:
@@ -227,33 +233,12 @@ def unguarded_prefix_names(e: Expr) -> list[str]:
     """Instruction names of unguarded action occurrences of e (with multiplicity)."""
     if isinstance(e, Prefix):
         return [e.name]
-    if isinstance(e, Var):
-        return []
     if isinstance(e, Fix):
         reached, _ = _fix_unguarded(e)
-        out: list[str] = []
-        for v in reached:
-            body = e.spec.body(v)
-            out.extend(_unguarded_skip_fix(body, e.spec))
-        return out
-    out = []
-    for c in children(e):
-        out.extend(unguarded_prefix_names(c))
-    return out
-
-
-def _unguarded_skip_fix(e: Expr, host: RecSpec) -> list[str]:
-    # Within a body of `host`, variables of the host group were already handled
-    # by the reachability closure; nested fix groups recurse normally.
-    if isinstance(e, Prefix):
-        return [e.name]
-    if isinstance(e, Var):
-        return []
-    if isinstance(e, Fix):
-        return unguarded_prefix_names(e)
+        return [n for v in reached for n in unguarded_prefix_names(e.spec.body(v))]
     out: list[str] = []
     for c in children(e):
-        out.extend(_unguarded_skip_fix(c, host))
+        out.extend(unguarded_prefix_names(c))
     return out
 
 
@@ -297,27 +282,7 @@ ComponentPath = str  # word over {L, R}; "" is the whole system
 
 def component_paths(e: Expr) -> set[ComponentPath]:
     """Prefix-closed set of component paths of e (wrappers are transparent)."""
-    out = {""}
-
-    def walk(n: Expr, path: str) -> None:
-        if isinstance(n, Par):
-            out.add(path + "L")
-            out.add(path + "R")
-            walk(n.left, path + "L")
-            walk(n.right, path + "R")
-        elif isinstance(n, (Restrict, Relabel)):
-            walk(n.body, path)
-        elif isinstance(n, Prefix):
-            walk(n.body, path)
-        elif isinstance(n, Choice):
-            walk(n.left, path)
-            walk(n.right, path)
-        elif isinstance(n, Fix):
-            for _, b in n.spec.bindings:
-                walk(b, path)
-
-    walk(e, "")
-    return out
+    return {path for _, path in walk(e)}
 
 
 def instruction_paths(e: Expr) -> dict[str, list[ComponentPath]]:
@@ -329,24 +294,9 @@ def instruction_paths(e: Expr) -> dict[str, list[ComponentPath]]:
     every occurrence of the group sits in the arm holding the reference.
     """
     table: dict[str, list[str]] = {}
-
-    def walk(n: Expr, path: str) -> None:
+    for n, path in walk(e):
         if isinstance(n, Prefix):
             table.setdefault(n.name, []).append(path)
-            walk(n.body, path)
-        elif isinstance(n, Par):
-            walk(n.left, path + "L")
-            walk(n.right, path + "R")
-        elif isinstance(n, (Restrict, Relabel)):
-            walk(n.body, path)
-        elif isinstance(n, Choice):
-            walk(n.left, path)
-            walk(n.right, path)
-        elif isinstance(n, Fix):
-            for _, b in n.spec.bindings:
-                walk(b, path)
-
-    walk(e, "")
     return table
 
 

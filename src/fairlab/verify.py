@@ -34,6 +34,15 @@ class Bounds:
     stem: int = 5
     cycle: int = 6
 
+    def __post_init__(self) -> None:
+        if self.stem < 0 or self.cycle < 1:
+            raise ValueError(f"needs STEM >= 0 and CYCLE >= 1, got {self.stem},{self.cycle}")
+
+
+def _tid_key(t) -> tuple[int, str]:
+    """Transitions in id order, shorter ids first (t2 before t10)."""
+    return (len(t.id), t.id)
+
 
 # ---------------------------------------------------------------------------
 # Reachability and AGEF.
@@ -143,28 +152,32 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
     return Verdict("yes", name, goal_name)
 
 
+def _shortest(starts: list, moves, done):
+    """Breadth-first search from the `starts` nodes; moves(node) yields
+    (transition id, next node) pairs.  Returns (start, steps) for the first
+    node in frontier order that is `done` when dequeued, or None."""
+    seen = set(starts)
+    frontier = [(node, node, ()) for node in starts]
+    while frontier:
+        nxt = []
+        for start, node, steps in frontier:
+            if done(node):
+                return (start, steps)
+            for tid, succ in moves(node):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append((start, succ, steps + (tid,)))
+        frontier = nxt
+    return None
+
+
 def _stem_into(lts: AugmentedLTS, region: set[str], targets: set[str]):
     """Shortest rooted path within the region reaching one of targets.
     Returns (start, steps) or None."""
-    inits = [s for s in lts.initial if s in region]
-    for s in inits:
-        if s in targets:
-            return (s, ())
-    seen = set(inits)
-    frontier = [(s, s, ()) for s in inits]
-    while frontier:
-        nxt = []
-        for start, sid, steps in frontier:
-            for t in lts.outgoing(sid):
-                if t.target not in region or t.target in seen:
-                    continue
-                path = steps + (t.id,)
-                if t.target in targets:
-                    return (start, path)
-                seen.add(t.target)
-                nxt.append((start, t.target, path))
-        frontier = nxt
-    return None
+    return _shortest([s for s in lts.initial if s in region],
+                     lambda sid: [(t.id, t.target) for t in lts.outgoing(sid)
+                                  if t.target in region],
+                     targets.__contains__)
 
 
 def _scc_partition(nodes: set[str], succ) -> list[list[str]]:
@@ -265,7 +278,7 @@ def _covering_cycle(edges: list, entry: str):
     for t in edges:
         by_src.setdefault(t.source, []).append(t)
     for v in by_src:
-        by_src[v].sort(key=lambda t: (len(t.id), t.id))
+        by_src[v].sort(key=_tid_key)
 
     def shortest_path(frm: str, to: str) -> list:
         if frm == to:
@@ -288,7 +301,7 @@ def _covering_cycle(edges: list, entry: str):
 
     walk: list = []
     at = entry
-    for t in sorted(edges, key=lambda t: (len(t.id), t.id)):
+    for t in sorted(edges, key=_tid_key):
         walk.extend(shortest_path(at, t.source))
         walk.append(t)
         at = t.target
@@ -317,7 +330,7 @@ def _fair_cycle_witness(lts: AugmentedLTS, region: set[str], region_out,
             probe = Lasso(entry, (), tuple(cycle))
             if not classify_lasso(lts, probe, assumption):
                 continue
-            stem = _find_stem(lts, region, cset, entry, cycle, assumption)
+            stem = _find_stem(lts, region, entry, cycle, assumption)
             if stem is None:
                 continue
             lasso = Lasso(stem[0], tuple(stem[1]), tuple(cycle))
@@ -326,8 +339,8 @@ def _fair_cycle_witness(lts: AugmentedLTS, region: set[str], region_out,
     return None
 
 
-def _find_stem(lts: AugmentedLTS, region: set[str], cset: set[str], entry: str,
-               cycle: list[str], assumption: Assumption):
+def _find_stem(lts: AugmentedLTS, region: set[str], entry: str, cycle: list[str],
+               assumption: Assumption):
     """A rooted stem into `entry` through the region such that the full lasso
     still satisfies the assumption.
 
@@ -336,43 +349,24 @@ def _find_stem(lts: AugmentedLTS, region: set[str], cset: set[str], entry: str,
     component-set obligations) pairs, so discharging loops are found too.
     """
     if assumption.kind != "Just":
-        found = _stem_into(lts, region, {entry})
-        return found
-    comp_u: set[str] = set()
-    for tid in cycle:
-        comp_u |= lts.comp_of(tid)
+        return _stem_into(lts, region, {entry})
+    comp_u = frozenset().union(*(lts.comp_of(tid) for tid in cycle))
 
-    def obligations(sid: str) -> frozenset[frozenset[str]]:
-        out = set()
-        for t in lts.outgoing(sid, assumption.reactive):
-            c = lts.comp_of(t.id)
-            if not (c & comp_u):
-                out.add(frozenset(c))
-        return frozenset(out)
+    def owed(sid: str) -> frozenset[frozenset[str]]:
+        return frozenset(c for c in _obligations(lts, sid, assumption.reactive)
+                         if not (c & comp_u))
 
-    inits = [s for s in lts.initial if s in region]
-    start_nodes = [(s, obligations(s)) for s in inits]
-    seen = set(start_nodes)
-    frontier: list[tuple[str, tuple[str, frozenset], tuple[str, ...]]] = [
-        (s, n, ()) for s, n in zip(inits, start_nodes)]
-    while frontier:
-        nxt = []
-        for start, (sid, pending), steps in frontier:
-            if sid == entry and not pending:
-                return (start, steps)
-            for t in lts.outgoing(sid):
-                if t.target not in region:
-                    continue
+    def moves(node):
+        sid, pending = node
+        for t in lts.outgoing(sid):
+            if t.target in region:
                 tcomp = lts.comp_of(t.id)
-                new_pending = frozenset(o for o in pending if not (o & tcomp))
-                new_pending = new_pending | obligations(t.target)
-                node = (t.target, new_pending)
-                if node in seen:
-                    continue
-                seen.add(node)
-                nxt.append((start, node, steps + (t.id,)))
-        frontier = nxt
-    return None
+                yield t.id, (t.target, frozenset(o for o in pending if not (o & tcomp))
+                             | owed(t.target))
+
+    found = _shortest([(s, owed(s)) for s in lts.initial if s in region], moves,
+                      lambda node: node[0] == entry and not node[1])
+    return None if found is None else (found[0][0], found[1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +376,10 @@ def _find_stem(lts: AugmentedLTS, region: set[str], cset: set[str], entry: str,
 def loopfree_witness(lts: AugmentedLTS, goal: frozenset[str],
                      length_bound: int) -> PathPrefix | None:
     """A loop-free goal-avoiding rooted path of exactly length_bound inside
-    the (possibly truncated) explored graph; absence is bounded evidence only."""
+    the (possibly truncated) explored graph; absence is bounded evidence only.
+    Raises ValueError for length_bound < 0."""
+    if length_bound < 0:
+        raise ValueError(f"need length >= 0, got {length_bound}")
     for init in lts.initial:
         if init in goal:
             continue
@@ -391,8 +388,7 @@ def loopfree_witness(lts: AugmentedLTS, goal: frozenset[str],
             sid, steps, seen = stack.pop()
             if len(steps) == length_bound:
                 return PathPrefix(init, tuple(steps))
-            for t in sorted(lts.outgoing(sid), key=lambda t: (len(t.id), t.id),
-                            reverse=True):
+            for t in sorted(lts.outgoing(sid), key=_tid_key, reverse=True):
                 if t.target in goal or t.target in seen:
                     continue
                 stack.append((t.target, steps + [t.id], seen | {t.target}))
@@ -402,10 +398,6 @@ def loopfree_witness(lts: AugmentedLTS, goal: frozenset[str],
 # ---------------------------------------------------------------------------
 # The feasibility scheduler (matrix as priority queue).
 # ---------------------------------------------------------------------------
-
-def _tid_key(tid: str):
-    return (len(tid), tid)
-
 
 @dataclass
 class _Queue:
@@ -447,7 +439,7 @@ def _scheduler_run(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
         assert name is not None  # the column just filled contains one
         task = ts.get(name)
         chosen = min((t for t in lts.outgoing(at) if t.id in task.members),
-                     key=lambda t: _tid_key(t.id))
+                     key=_tid_key)
         steps.append(chosen.id)
         yield at, queue, steps, chosen
         at = chosen.target
@@ -457,17 +449,15 @@ def fair_extend(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
                 step_cap: int) -> PathPrefix:
     """Extend a finite path by the priority-queue algorithm: always serve the
     earliest filled, uncrossed entry whose task is enabled now.  Stops at
-    deadlock (no task enabled) or after step_cap appended transitions."""
+    deadlock (no task enabled) or after step_cap appended transitions;
+    raises ValueError for step_cap < 0."""
+    if step_cap < 0:
+        raise ValueError(f"need steps >= 0, got {step_cap}")
     prefix.validate(lts)
-    appended = 0
-    steps = list(prefix.steps)
-    for _, _, steps, chosen in _scheduler_run(lts, prefix, ts):
-        if chosen is None:
-            break
-        appended += 1
-        if appended >= step_cap:
-            break
-    return PathPrefix(prefix.start, tuple(steps[: len(prefix.steps) + appended]))
+    steps = prefix.steps
+    for _, _, steps, _ in itertools.islice(_scheduler_run(lts, prefix, ts), step_cap):
+        pass
+    return PathPrefix(prefix.start, tuple(steps))
 
 
 def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
@@ -540,10 +530,10 @@ def simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple[
 
 def _simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple[str, ...]]:
     out: list[tuple[str, ...]] = []
-    stack: list[tuple[str, tuple[str, ...]]] = [(start, ())]
+    stack: list[tuple[str, tuple[str, ...]]] = [(start, ())] if max_len >= 1 else []
     while stack:
         at, steps = stack.pop()
-        for t in sorted(lts.outgoing(at), key=lambda t: (len(t.id), t.id), reverse=True):
+        for t in sorted(lts.outgoing(at), key=_tid_key, reverse=True):
             if t.id in steps:
                 continue
             if t.target == start:
@@ -569,11 +559,11 @@ def _classify_cycle(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
     return classify_lasso(lts, Lasso(entry, (), cycle), a)
 
 
-def _obligations_by_state(lts: AugmentedLTS, reactive: bool) -> dict[str, list[frozenset[str]]]:
-    """The component sets each state's transitions (non-blocking ones, when
-    reactive) oblige a just path to interfere with."""
-    return lts.memo(("obligations", reactive), lambda: {
-        s.id: [lts.comp_of(t.id) for t in lts.outgoing(s.id, reactive)] for s in lts.states})
+def _obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset[str], ...]:
+    """The component sets the transitions of state sid (non-blocking ones,
+    when reactive) oblige a just path to interfere with."""
+    return lts.memo(("obligations", sid, reactive), lambda: tuple(
+        lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
 
 
 def _just_stem_ok(lts: AugmentedLTS, start: str, steps: tuple[str, ...],
@@ -618,9 +608,12 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
     s_just = stronger.kind == "Just"
     w_just = weaker.kind == "Just"
     try:
-        # each justness side owes the obligations of its own ,reactive flag
-        s_obligations = _obligations_by_state(lts, stronger.reactive) if s_just else None
-        w_obligations = _obligations_by_state(lts, weaker.reactive) if w_just else None
+        # each justness side owes the obligations of its own ,reactive flag; all
+        # states are read up front, so a missing comp anywhere skips the check
+        s_obligations = {s.id: _obligations(lts, s.id, stronger.reactive)
+                         for s in lts.states} if s_just else None
+        w_obligations = {s.id: _obligations(lts, s.id, weaker.reactive)
+                         for s in lts.states} if w_just else None
         for entry in sorted(walks):
             stems = walks[entry]
             for cycle in simple_cycles_at(lts, entry, bounds.cycle):

@@ -360,3 +360,28 @@ def test_custom_tasks_apply_to_j_w_s_only(capsys):
     assert main(["liveness", lts, "--goal", "crit",
                  "--assume", f"S:custom={tasks},reactive"]) == 1
     assert json.loads(capsys.readouterr().out)["assumption"] == "S:custom,reactive"
+
+
+def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys):
+    mutex, counters = str(DATA / "ex-4.2-mutex-mem.json"), str(DATA / "ex-11.2-counters.json")
+    hierarchy = ["hierarchy", str(_ccs2lts(tmp_path, "ex-5.6.ccs")),
+                 "--stronger", "S:A", "--weaker", "S:T"]
+    capsys.readouterr()
+    ranges = "--bounds needs STEM >= 0 and CYCLE >= 1, got"
+    for argv, want in (
+            (["extend", mutex, "--notion", "T", "--steps", "-3"],
+             "extend needs --steps >= 0, got -3"),
+            (["loopfree", counters, "--goal", "zero", "--length", "-1"],
+             "loopfree needs --length >= 0, got -1"),
+            (hierarchy + ["--bounds", "0"], f"{ranges} 0,0"),
+            (hierarchy + ["--bounds=-1,-2"], f"{ranges} -1,-2"),
+            (hierarchy + ["--bounds", "2,0"], f"{ranges} 2,0")):
+        assert main(argv) == 2, argv
+        assert want in _one_line_error(capsys), argv
+    # the least values in range still run: --steps 0 appends nothing
+    assert main(["extend", mutex, "--notion", "T", "--steps", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"start": "init", "steps": []}
+    assert main(["loopfree", counters, "--goal", "zero", "--length", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == []
+    assert main(hierarchy + ["--bounds", "0,1"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["checked"] > 0

@@ -251,3 +251,21 @@ def test_fair_extend_random_prefixes_reach_fair_lassos():
                 end = PathPrefix(lts.initial[0], tuple(steps)).end(lts)
                 continue
             assert classify_lasso(lts, lasso, Assumption("S", "custom", ts))
+
+
+def test_out_of_range_caps_and_bounds_are_rejected():
+    lts = _built("ex-4.2-mutex-mem")["ex-4.2-mutex-mem"].lts
+    ts, prefix = lts.tasks["LM"], PathPrefix("init", ("l1",))
+    assert fair_extend(lts, prefix, ts, 0) == prefix
+    assert len(fair_extend(lts, prefix, ts, 1).steps) == 2
+    with pytest.raises(ValueError, match="steps >= 0, got -3"):
+        fair_extend(lts, prefix, ts, -3)
+    assert simple_cycles_at(lts, "init", 0) == [] == simple_cycles_at(lts, "init", -1)
+    assert simple_cycles_at(lts, "init", 3)
+    for stem, cycle in ((-1, 1), (0, 0), (2, -1)):
+        with pytest.raises(ValueError, match="STEM >= 0 and CYCLE >= 1"):
+            Bounds(stem, cycle)
+    assert Bounds(0, 1).cycle == 1
+    with pytest.raises(ValueError, match="length >= 0, got -1"):
+        loopfree_witness(lts, frozenset(), -1)
+    assert loopfree_witness(lts, frozenset(), 0) == PathPrefix("init")
