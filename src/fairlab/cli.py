@@ -294,8 +294,13 @@ def _taskset_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--custom", help="custom task JSON file")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line, like every other error (subparsers too)
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fairlab",
         description="transition systems from a CCS fragment, and liveness "
                     "checking under progress/justness/fairness assumptions")

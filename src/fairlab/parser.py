@@ -14,7 +14,8 @@ instruction name may be attached to a prefix occurrence as ``a{n1}.E``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
@@ -29,76 +30,67 @@ class ParseError(ValueError):
         super().__init__(f"{message}{at}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT UIDENT PUNCT INDEX NAMEANN EOF
+class Token(NamedTuple):
+    kind: str  # IDENT UIDENT PUNCT INDEX NAME RELABEL EOF
     text: str
     span: Span
+    source: str = ""  # a RELABEL token's whole "[...]" text; its text is "["
 
 
-_PUNCT = ("->", "(", ")", "{", "}", "[", "]", "+", "|", ".", ",", "\\", "=", "'", "#", "0")
 _KEYWORDS = ("where", "tau", "nonblocking")
 
+# Token classes in the order they are tried.  "[...]" is one RELABEL token
+# when its interior is ASCII without comment, brace or line break, so that it
+# tokenizes on one line and without error; any other "[" is PUNCT.  Spans count
+# as they always have: no new line inside "{...}", no column for a comment.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|(?P<comment>--[^\n]*)"
+    r"|(?P<name>\{([^}]*)\})"
+    r"|(?P<relabel>\[(?:[A-Za-z0-9_ \t\r()+|.,\\='#\[}]|->)*\])"
+    r"|(?P<word>\w+)"
+    r"|(?P<punct>->|[()\[\]}+|.,\\='#])"
+    r"|(?P<other>.)")
 
-def _tokenize(text: str) -> list[Token]:
+
+def _tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of `text`, whose first character sits at (line, col)."""
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
+    append = toks.append
+    start = 1 - col  # offset of the current line's first character
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None or kind == "comment":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        pos = m.start()
+        if kind == "newline":
+            line, start = line + 1, pos + 1
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = (line, col)
-        if text.startswith("->", i):
-            toks.append(Token("PUNCT", "->", span))
-            i += 2
-            col += 2
-            continue
-        if c == "{":
-            j = text.find("}", i)
-            if j < 0:
-                raise ParseError("unterminated instruction name", span)
-            toks.append(Token("PUNCT", "{", span))
-            toks.append(Token("NAME", text[i + 1:j].strip(), (line, col + 1)))
-            toks.append(Token("PUNCT", "}", (line, col + (j - i))))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            toks.append(Token("PUNCT" if word == "0" else "INDEX", word, span))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "IDENT" if (word in _KEYWORDS or word[0].islower() or word[0] == "_") else "UIDENT"
-            toks.append(Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        if c in "()" or c in "{}[]" or c in "+|.,\\='#":
-            toks.append(Token("PUNCT", c, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", span)
-    toks.append(Token("EOF", "", (line, col)))
+        word = m.group()
+        span = (line, pos - start + 1)
+        if kind == "punct":
+            append(Token("PUNCT", word, span))
+        elif kind == "word":  # str.isdigit and str.isalpha decide: \d misses "²"
+            if word[0].isdigit():
+                k = next((i for i, c in enumerate(word) if not c.isdigit()), len(word))
+                append(Token("PUNCT" if word[:k] == "0" else "INDEX", word[:k], span))
+                if k == len(word):
+                    continue
+                word, span = word[k:], (line, span[1] + k)
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", span)
+            append(Token("IDENT" if word[0].islower() or word[0] == "_" else "UIDENT", word, span))
+        elif kind == "relabel":
+            append(Token("RELABEL", "[", span, word))
+        elif kind == "name":
+            append(Token("PUNCT", "{", span))
+            append(Token("NAME", m.group(4).strip(), (line, span[1] + 1)))
+            append(Token("PUNCT", "}", (line, span[1] + len(word) - 1)))
+        else:
+            raise ParseError("unterminated instruction name" if word == "{"
+                             else f"unexpected character {word!r}", span)
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    append(Token("EOF", "", (line, end - start + 1)))
     return toks
 
 
@@ -106,9 +98,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        self.relabels: dict[str, RelabelFn] = {}  # RELABEL source -> its map
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # next() never moves past EOF
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -196,8 +189,15 @@ class _Parser:
                     raise ParseError("expected an action name after \\", t.span)
                 e = Restrict(e, t.text, span=sp)
             elif self.at("["):
-                sp = self.next().span
-                e = Relabel(e, self.parse_relabel_rules(), span=sp)
+                t = self.next()
+                if t.kind != "RELABEL":
+                    fn = self.parse_relabel_rules()
+                elif (fn := self.relabels.get(t.source)) is None:
+                    # first sight: tokenize the interior in place, for exact error spans
+                    toks = _tokenize(t.source[1:-1], t.span[0], t.span[1] + 1)
+                    toks.insert(-1, Token("PUNCT", "]", toks[-1].span))
+                    fn = self.relabels[t.source] = _Parser(toks).parse_relabel_rules()
+                e = Relabel(e, fn, span=t.span)
             else:
                 return e
 
@@ -288,10 +288,9 @@ class _Parser:
                 raise ParseError("expected a process variable", v.span)
             self.expect("=")
             bindings.append((v.text, self.parse_expr()))
-            if self.at(","):
-                self.next()
-                continue
-            break
+            if not self.at(","):
+                break
+            self.next()
         if len({v for v, _ in bindings}) != len(bindings):
             raise ParseError("duplicate definition in where-clause")
         return RecSpec(tuple(bindings))
@@ -416,14 +415,8 @@ def _depth_guarded(parse):
     return guarded
 
 
-@_depth_guarded
-def parse_expression(text: str) -> Expr:
-    """Parse one (possibly open) expression and name its prefixes.
-
-    Lower-level helper for syntactic queries on open terms; `parse_ccs` is
-    the full-spec entry point and also enforces closedness.
-    """
-    p = _Parser(_tokenize(text))
+def _parse_root(p: _Parser) -> Expr:
+    """expr ['where' bindings], then the end of the input."""
     e = p.parse_expr()
     if p.at("where"):
         p.next()
@@ -431,15 +424,24 @@ def parse_expression(text: str) -> Expr:
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"trailing input {t.text!r}", t.span)
-    named, _ = _assign_names(e)
+    return e
+
+
+@_depth_guarded
+def parse_expression(text: str) -> Expr:
+    """Parse one (possibly open) expression and name its prefixes.
+
+    Lower-level helper for syntactic queries on open terms; `parse_ccs` is
+    the full-spec entry point and also enforces closedness.
+    """
+    named, _ = _assign_names(_parse_root(_Parser(_tokenize(text))))
     return named
 
 
 @_depth_guarded
 def parse_ccs(text: str) -> ProcessSpec:
     """Parse a complete specification into a named, closed ProcessSpec."""
-    toks = _tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(_tokenize(text))
     nonblocking: set[str] = set()
     while p.at("nonblocking"):
         p.next()
@@ -448,17 +450,10 @@ def parse_ccs(text: str) -> ProcessSpec:
             if t.kind != "IDENT" or t.text in _KEYWORDS:
                 raise ParseError("expected an action name in nonblocking pragma", t.span)
             nonblocking.add(t.text)
-            if p.at(","):
-                p.next()
-                continue
-            break
-    e = p.parse_expr()
-    if p.at("where"):
-        p.next()
-        e = _close(e, p.parse_bindings())
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.span)
+            if not p.at(","):
+                break
+            p.next()
+    e = _parse_root(p)
     fv = free_vars(e)
     if fv:
         raise ParseError(f"unbound variable {sorted(fv)[0]}")

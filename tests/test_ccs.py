@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from fairlab.labels import parse_label
@@ -57,6 +59,43 @@ def test_parse_errors():
         parse_ccs("X")  # unbound variable
     with pytest.raises(ParseError):
         parse_ccs("a.0 +")
+
+
+@pytest.mark.parametrize("src, message", [
+    # an unexpected character on line 3 of a multi-line source
+    ("X where X = a.X\n  + b.X\n  + c.X $ d.0", "unexpected character '$' at 3:9"),
+    ("a{mine.0 | b.0", "unterminated instruction name at 1:2"),
+    # a bad rule in the third copy of a repeated relabelling
+    ("X[b#i -> b#(i+1)][b#i -> b#(i+1)][b#i -> c#(j+1)] where X = b#0.X",
+     "index variable mismatch in relabelling at 1:45"),
+    ("X[a -> b, a -> c] where X = a.X", "duplicate relabelling source 'a'"),
+    # a "]" inside a comment does not close the relabelling
+    ("X[a -> b -- ]\n, c] where X = a.X", "expected '->', found ']' at 2:4"),
+    ("X[a -> b -- ] closes nothing\n] where X = a.X +", "unexpected 'end of input' at 2:18"),
+    # a trailing comment does not advance the end-of-input column
+    ("X where X = a.X + -- trailing", "unexpected 'end of input' at 1:19"),
+    ("a.0 | b.0 +\n-- ends here", "unexpected 'end of input' at 2:1"),
+])
+def test_parse_error_messages_and_positions(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_ccs(src)
+    assert str(exc.value) == message
+
+
+def test_fragment_diagnostic_positions():
+    data = resources.files("fairlab.corpus_data")
+    for f in data.iterdir():
+        if f.name.endswith(".ccs"):
+            assert check_fragment(parse_ccs(f.read_text())) == [], f.name
+    for src, want in [
+            ("X where X = a.X\n  + (b.0\n     | c.0)[b -> c] -- split\n",
+             "3:6: parallel composition in the definition of X"),
+            ("a.(Y | Z) + (P | Q)[a -> b][a -> b]\nwhere Y = a.Y, Z = a.Z,\n      P = a.P, Q = a.Q",
+             "1:16: unguarded parallel composition inside a choice"),
+            # a line break inside an instruction name starts no new line
+            ("X where X = a.X + b{n\n}.(X[a -> b] | c.0)",
+             "1:36: parallel composition in the definition of X")]:
+        assert [str(d) for d in check_fragment(parse_ccs(src))] == [want], src
 
 
 def test_name_freshness_counts_prefix_nodes():

@@ -375,9 +375,17 @@ def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys)
              "loopfree needs --length >= 0, got -1"),
             (hierarchy + ["--bounds", "0"], f"{ranges} 0,0"),
             (hierarchy + ["--bounds=-1,-2"], f"{ranges} -1,-2"),
-            (hierarchy + ["--bounds", "2,0"], f"{ranges} 2,0")):
+            (hierarchy + ["--bounds", "2,0"], f"{ranges} 2,0"),
+            # argparse's own errors keep the one-line contract too
+            (["extend", mutex, "--notion", "T", "--steps", "x"],
+             "fairlab extend: argument --steps: invalid int value: 'x'"),
+            (hierarchy + ["--bounds", "-1,-2"],
+             "fairlab hierarchy: argument --bounds: expected one argument"),
+            (["bogus"], "fairlab: argument command: invalid choice: 'bogus'")):
         assert main(argv) == 2, argv
         assert want in _one_line_error(capsys), argv
+    assert main(["extend", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fairlab extend")
     # the least values in range still run: --steps 0 appends nothing
     assert main(["extend", mutex, "--notion", "T", "--steps", "0"]) == 0
     assert json.loads(capsys.readouterr().out) == {"start": "init", "steps": []}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from fairlab.corpus import build, corpus_entries
 from fairlab.lts import (AnnotationError, GoalSpec, SchemaError, concurrent,
                          from_exploration, goal_states, isomorphic, load_lts,
                          save_lts, validate_side_conditions)
@@ -162,3 +163,43 @@ def test_goal_component_at_needs_expressions():
     lts = load_lts(MUTEX_JSON)
     with pytest.raises(AnnotationError):
         goal_states(lts, GoalSpec.component_at("L", "0"))
+
+
+def _ring(k):
+    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
+
+
+def _grid(n):
+    return (" | ".join(f"X{i}" for i in range(n)) + " where "
+            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
+
+
+def test_goal_sets_survive_save_and_load():
+    """A reloaded system reparses every state text, so its goal sets must be
+    those of the freshly explored system.  The texts need not print back
+    unchanged: parsing drops the `where` definitions a state cannot reach."""
+    systems = [(build(e).lts, e.goals) for e in corpus_entries() if e.kind == "ccs"]
+    for k in (10, 12, 14):
+        systems.append((from_exploration(explore(parse_ccs(_ring(k)))),
+                        {"ring": GoalSpec.component_at("R", "0")}))
+    for n in (5, 6, 7):
+        systems.append((from_exploration(explore(parse_ccs(_grid(n)))),
+                        {"grid": GoalSpec.state_is(" | ".join(["0"] * n))}))
+    reprinted = 0
+    for fresh, goals in systems:
+        copy = load_lts(save_lts(fresh))
+        for goal in goals.values():
+            on_fresh, on_copy = (goal(lts) if callable(goal) else goal for lts in (fresh, copy))
+            assert goal_states(fresh, on_fresh) == goal_states(copy, on_copy)
+        # state_is compares printed terms: they must agree on every state
+        printed = [print_expr(fresh.state_expr(s.id)) for s in fresh.states]
+        assert printed == [print_expr(copy.state_expr(s.id)) for s in copy.states]
+        reprinted += sum(p != s.expr for p, s in zip(printed, fresh.states))
+        # a state_is goal per state; each prints every state, so systems of
+        # more than 32 states name every k-th state only, 8 states in all
+        stride = 1 if len(fresh.states) <= 32 else len(fresh.states) // 8
+        for s in fresh.states[::stride]:
+            goal = GoalSpec.state_is(s.expr)
+            matched = goal_states(fresh, goal)
+            assert s.id in matched and matched == goal_states(copy, goal)
+    assert reprinted >= 12  # the clerk's states, at least
