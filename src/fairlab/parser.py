@@ -174,7 +174,7 @@ class _Parser:
         if self.at("#"):
             self.next()
             t = self.next()
-            if not t.text.isdigit():
+            if not t.text.isdecimal():
                 raise ParseError("expected a numeric index after #", t.span)
             return int(t.text)
         return None
@@ -223,7 +223,7 @@ class _Parser:
         if self.at("#"):
             self.next()
             t = self.next()
-            if t.text.isdigit():
+            if t.text.isdecimal():
                 src_idx = int(t.text)
             elif t.kind == "IDENT":
                 family, idxvar = True, t.text
@@ -244,13 +244,13 @@ class _Parser:
                     raise ParseError("index variable mismatch in relabelling", v.span)
                 self.expect("+")
                 off = self.next()
-                if off.kind != "INDEX":
+                if off.kind != "INDEX" or not off.text.isdecimal():
                     raise ParseError("expected a numeric offset", off.span)
                 offset = int(off.text)
                 self.expect(")")
             else:
                 t = self.next()
-                if t.text.isdigit():
+                if t.text.isdecimal():
                     dst_idx = int(t.text)
                 elif family and t.text == idxvar:
                     offset = 0
@@ -324,43 +324,16 @@ def _close(root: Expr, spec: RecSpec) -> Expr:
     return sub(root)
 
 
-def _restrict_groups(e: Expr) -> Expr:
-    """Restrict every fix term to the definitions reachable from its variable.
-
-    A where-group referenced from several positions of the root is thereby
-    split: each reference carries only its own part of the group, and when
-    the parts overlap each position gets a private copy (named apart below),
-    which keeps cmp a function from instructions to components.
-    """
-    if isinstance(e, Fix):
-        dom = set(e.spec.domain())
-        reach = {e.var}
-        frontier = [e.var]
-        while frontier:
-            for w in sorted(free_vars(e.spec.body(frontier.pop())) & dom):
-                if w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
-        kept = tuple((v, _restrict_groups(b)) for v, b in e.spec.bindings if v in reach)
-        return Fix(e.var, RecSpec(kept), span=e.span)
-    if isinstance(e, Prefix):
-        return Prefix(e.action, e.name, _restrict_groups(e.body), span=e.span)
-    if isinstance(e, Choice):
-        return Choice(_restrict_groups(e.left), _restrict_groups(e.right), span=e.span)
-    if isinstance(e, Par):
-        return Par(_restrict_groups(e.left), _restrict_groups(e.right), span=e.span)
-    if isinstance(e, Restrict):
-        return Restrict(_restrict_groups(e.body), e.name, span=e.span)
-    if isinstance(e, Relabel):
-        return Relabel(_restrict_groups(e.body), e.fn, span=e.span)
-    return e
-
-
 def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, ActionLabel]]]:
-    """Give every prefix occurrence of the elaborated root an instruction name.
+    """Restrict every fix term to the definitions reachable from its variable
+    (read off the unrestricted bodies) and give every prefix occurrence left
+    an instruction name.
 
-    Auto names are ``base@k`` with k a per-base occurrence ordinal, assigned
-    in textual order; explicit ``a{n}`` names are kept.
+    A where-group referenced from several positions is thereby split, each
+    position getting a private copy named apart, which keeps cmp a function
+    from instructions to components.  Auto names are ``base@k`` with k a
+    per-base occurrence ordinal, assigned in textual order; explicit
+    ``a{n}`` names are kept.
     """
     table: dict[str, tuple[Span | None, ActionLabel]] = {}
     counters: dict[str, int] = {}
@@ -396,11 +369,19 @@ def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, Action
         if isinstance(e, Relabel):
             return Relabel(walk(e.body), e.fn, span=e.span)
         if isinstance(e, Fix):
-            named = RecSpec(tuple((v, walk(b)) for v, b in e.spec.bindings))
-            return Fix(e.var, named, span=e.span)
+            dom = set(e.spec.domain())
+            reach = {e.var}
+            frontier = [e.var]
+            while frontier:
+                for w in sorted(free_vars(e.spec.body(frontier.pop())) & dom):
+                    if w not in reach:
+                        reach.add(w)
+                        frontier.append(w)
+            kept = tuple((v, walk(b)) for v, b in e.spec.bindings if v in reach)
+            return Fix(e.var, RecSpec(kept), span=e.span)
         return e
 
-    return walk(_restrict_groups(root)), table
+    return walk(root), table
 
 
 def _depth_guarded(parse):

@@ -63,8 +63,9 @@ class Lasso:
         if lts.transition(self.cycle[-1]).target != entry:
             raise PathError("cycle does not close at the stem's end state")
 
-    def cycle_states(self, lts: AugmentedLTS) -> frozenset[str]:
-        return frozenset(lts.transition(t).source for t in self.cycle)
+    def cycle_states(self, lts: AugmentedLTS) -> tuple[str, ...]:
+        """The states the cycle leaves, in cycle order, each once."""
+        return tuple(dict.fromkeys(lts.transition(t).source for t in self.cycle))
 
     def to_json(self) -> dict:
         return {"start": self.start, "stem": list(self.stem), "cycle": list(self.cycle)}
@@ -239,29 +240,28 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
 
 
 def _just_lasso(lts: AugmentedLTS, lasso: Lasso, reactive: bool) -> bool:
-    cyc_comp: set[str] = set()
-    for u in lasso.cycle:
-        cyc_comp |= lts.comp_of(u)
+    cycle_comp = frozenset().union(*(lts.comp_of(u) for u in lasso.cycle))
+    if not just_stem(lts, lasso.start, lasso.stem, cycle_comp, reactive):
+        return False
+    # every occurrence of a cycle state is followed by the whole cycle
+    return all((t.comp or lts.comp_of(t.id)) & cycle_comp
+               for s in lasso.cycle_states(lts) for t in lts.outgoing(s, reactive))
 
-    def discharged_from(position: int, t) -> bool:
-        # interference from the remaining stem or anywhere in the cycle
-        tcomp = lts.comp_of(t.id)
-        if tcomp & cyc_comp:
-            return True
-        return any(lts.comp_of(u) & tcomp for u in lasso.stem[position:])
 
-    at = lasso.start
-    for k in range(len(lasso.stem) + 1):
+def just_stem(lts: AugmentedLTS, start: str, stem: tuple[str, ...],
+              cycle_comp: frozenset[str], reactive: bool) -> bool:
+    """Justness on a stem: every transition enabled at stem position k
+    (non-blocking ones, when reactive) shares a component with stem[k:], the
+    step leaving k included, or with the cycle's components cycle_comp.  The
+    scan is lazy, in stem order, so it raises AnnotationError only for a
+    component set it needs."""
+    at = start
+    for k, step in enumerate(stem):
         for t in lts.outgoing(at, reactive):
-            if not discharged_from(k, t):
+            tcomp = t.comp or lts.comp_of(t.id)  # comp_of raises when comp is unset
+            if not (tcomp & cycle_comp or any(lts.comp_of(u) & tcomp for u in stem[k:])):
                 return False
-        if k < len(lasso.stem):
-            at = lts.transition(lasso.stem[k]).target
-    # states on the cycle: every occurrence is followed by the whole cycle
-    for s in lasso.cycle_states(lts):
-        for t in lts.outgoing(s, reactive):
-            if not (lts.comp_of(t.id) & cyc_comp):
-                return False
+        at = lts.transition(step).target
     return True
 
 

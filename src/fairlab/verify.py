@@ -12,7 +12,7 @@ from fractions import Fraction
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
                   read_json, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
-                    classify_lasso, enabled_tasks)
+                    classify_lasso, enabled_tasks, just_stem)
 
 
 @dataclass
@@ -125,9 +125,9 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
         hopeless = _hopeless(lts, goal, assumption.reactive)
         if not hopeless:
             return Verdict("yes", name, goal_name, notes=[note])
-        stem = _stem_into(lts, set(lts.state_ids()), hopeless)
-        witness = PathPrefix(stem[0], tuple(stem[1])) if stem else None
-        return Verdict("no", name, goal_name, witness=witness,
+        # every hopeless state is reachable, so the stem exists
+        start, steps = _stem_into(lts, set(lts.state_ids()), hopeless)
+        return Verdict("no", name, goal_name, witness=PathPrefix(start, steps),
                        notes=[note, "witness ends where the goal is unreachable"])
 
     # states reachable from a non-goal initial state without touching the goal
@@ -138,11 +138,10 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
     # (a) finite complete counterexamples
     for sid in sorted(region):
         if classify_finite(lts, PathPrefix(sid), assumption):
-            stem = _stem_into(lts, region, {sid})
-            if stem is not None:
-                return Verdict("no", name, goal_name,
-                               witness=PathPrefix(stem[0], tuple(stem[1])),
-                               notes=["complete finite run avoiding the goal"])
+            # every region state is reachable inside the region
+            start, steps = _stem_into(lts, region, {sid})
+            return Verdict("no", name, goal_name, witness=PathPrefix(start, steps),
+                           notes=["complete finite run avoiding the goal"])
 
     # (b) infinite counterexamples via support enumeration
     witness = _fair_cycle_witness(lts, region, region_out, assumption)
@@ -547,8 +546,8 @@ def _cycle_verdict(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
                    a: Assumption) -> bool:
     """Classification of the infinite path cycle^omega (cached on the system).
 
-    For justness this is the cycle part only; stem obligations are handled by
-    `_just_stem_ok`.  Every other assumption is stem-insensitive, so this is
+    For justness this is the cycle part only; the stem is judged by
+    `paths.just_stem`.  Every other assumption is stem-insensitive, so this is
     the verdict of any lasso carrying this cycle.
     """
     return lts.memo(("verdict", entry, cycle, a), _classify_cycle, lts, entry, cycle, a)
@@ -564,29 +563,6 @@ def _obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset
     when reactive) oblige a just path to interfere with."""
     return lts.memo(("obligations", sid, reactive), lambda: tuple(
         lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
-
-
-def _just_stem_ok(lts: AugmentedLTS, start: str, steps: tuple[str, ...],
-                  comps_u: frozenset[str], obligations) -> bool:
-    """Are all justness obligations along the stem discharged by the stem's
-    own remainder or the cycle's components?"""
-    states = [start]
-    for tid in steps:
-        states.append(lts.transition(tid).target)
-    # avail[k] = components of steps[k:] plus the cycle's components; the
-    # transition leaving position k counts as "past the occurrence" of its
-    # source state, so it may discharge that state's obligations itself
-    avail: list[frozenset[str]] = [frozenset()] * (len(steps) + 1)
-    acc = frozenset(comps_u)
-    for k in range(len(steps), -1, -1):
-        avail[k] = acc
-        if k > 0:
-            acc = acc | lts.comp_of(steps[k - 1])
-    for k in range(len(steps)):  # the final state is the cycle entry
-        for need in obligations[states[k]]:
-            if not (need & avail[k]):
-                return False
-    return True
 
 
 def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
@@ -610,10 +586,10 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
     try:
         # each justness side owes the obligations of its own ,reactive flag; all
         # states are read up front, so a missing comp anywhere skips the check
-        s_obligations = {s.id: _obligations(lts, s.id, stronger.reactive)
-                         for s in lts.states} if s_just else None
-        w_obligations = {s.id: _obligations(lts, s.id, weaker.reactive)
-                         for s in lts.states} if w_just else None
+        for a in (stronger, weaker):
+            if a.kind == "Just":
+                for s in lts.states:
+                    _obligations(lts, s.id, a.reactive)
         for entry in sorted(walks):
             stems = walks[entry]
             for cycle in simple_cycles_at(lts, entry, bounds.cycle):
@@ -628,10 +604,10 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
                 comps_u = (frozenset().union(*(lts.comp_of(t) for t in cycle))
                            if s_just or w_just else None)
                 for start, steps in stems:
-                    if s_just and not _just_stem_ok(lts, start, steps, comps_u,
-                                                    s_obligations):
+                    if s_just and not just_stem(lts, start, steps, comps_u,
+                                                stronger.reactive):
                         continue
-                    if w_cyc and _just_stem_ok(lts, start, steps, comps_u, w_obligations):
+                    if w_cyc and just_stem(lts, start, steps, comps_u, weaker.reactive):
                         continue
                     report.violations.append(Lasso(start, steps, cycle))
                     return report

@@ -75,11 +75,20 @@ def test_parse_errors():
     # a trailing comment does not advance the end-of-input column
     ("X where X = a.X + -- trailing", "unexpected 'end of input' at 1:19"),
     ("a.0 | b.0 +\n-- ends here", "unexpected 'end of input' at 2:1"),
+    # an index `int` cannot read: "²" is a digit to str.isdigit, not a decimal
+    ("a#².0", "expected a numeric index after # at 1:3"),
+    ("X[b#² -> c] where X = b#0.X", "expected an index or index variable after # at 1:5"),
+    ("X[b -> c#²] where X = b#0.X", "bad relabelling target index at 1:10"),
+    ("X[b#i -> c#(i+²)] where X = b#0.X", "expected a numeric offset at 1:15"),
 ])
 def test_parse_error_messages_and_positions(src, message):
     with pytest.raises(ParseError) as exc:
         parse_ccs(src)
     assert str(exc.value) == message
+
+
+def test_non_ascii_decimal_index():
+    assert parse_expression("a#٣.0") == parse_expression("a#3.0")
 
 
 def test_fragment_diagnostic_positions():

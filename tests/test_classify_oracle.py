@@ -5,11 +5,11 @@ the collection is tested at every cycle state, and `requested` projects and
 steps the state expression on every query.  The oracles drop blocking
 transitions under ,reactive themselves, from the unfiltered
 `lts.outgoing(state)`, and justness is checked against the stem-by-stem
-scan the classifier used before `outgoing` took the flag.  The
-oracle walks the cycle in cycle order, as the classifier does; the scans
-it copies walked a frozenset of the cycle's transitions, whose order (and
-so which AnnotationError a partially annotated system raised first, if
-any) depended on string hashing.
+scan the classifier used before `outgoing` took the flag.  That oracle
+walks the cycle's states in cycle order, as the classifier does; the scan
+it copies walked them as a frozenset, whose order (and so which
+AnnotationError a partially annotated system raised first, if any)
+depended on string hashing.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _just_lasso(lts, lasso, reactive):
                 return False
         if k < len(lasso.stem):
             at = lts.transition(lasso.stem[k]).target
-    for s in lasso.cycle_states(lts):
+    for s in dict.fromkeys(lts.transition(u).source for u in lasso.cycle):
         for t in lts.outgoing(s):
             if reactive and t.blocking:
                 continue

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
-from fairlab.cli import main
+from hypothesis import given, strategies as st
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "fairlab" / "corpus_data"
+from fairlab.cli import main
+from fairlab.lts import load_lts
+from fairlab.paths import Assumption, PathPrefix
+from fairlab.tasks import NOTIONS
+from fairlab.verify import liveness
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "fairlab" / "corpus_data"
 
 
 def _ccs2lts(tmp_path: Path, name: str, *extra: str) -> Path:
@@ -393,3 +407,137 @@ def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["steps"] == []
     assert main(hierarchy + ["--bounds", "0,1"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["checked"] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _json_systems() -> dict[str, str]:
+    """The bundled JSON transition systems (not task or weight files), by name."""
+    texts = {p.name: p.read_text() for p in sorted(DATA.glob("*.json"))}
+    return {name: text for name, text in texts.items() if '"states"' in text}
+
+
+@functools.lru_cache(maxsize=None)
+def _path_text(name: str) -> str:
+    """A path of the unmutated system: the witness of P-liveness of no goal,
+    or its first initial state when exploration was truncated."""
+    lts = load_lts(_json_systems()[name])
+    witness = liveness(lts, frozenset(), Assumption("P")).witness
+    return json.dumps((witness or PathPrefix(lts.initial[0])).to_json())
+
+
+_DEEP = "@deep@"
+_WRONG = st.sampled_from((None, True, 0, -1, 2.5, "", "no-such-id", [], {}, [1],
+                          ["no-such-id"], [[]], [{}], {"x": 1}, _DEEP))
+
+
+def _places(doc, parent=None, key=None):
+    """Every (container, key) pair of a JSON document, the root as (None, None)."""
+    yield parent, key
+    if isinstance(doc, (dict, list)):
+        for k, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _places(value, doc, k)
+
+
+def _mutate(data, doc):
+    """The document with one drawn mutation at a drawn place: a dropped key
+    or item, a wrong type, a value wrapped in a list, a dangling id, or deep
+    nesting."""
+    parent, key = data.draw(st.sampled_from(list(_places(doc))))
+    value = doc if parent is None else parent[key]
+    op = data.draw(st.sampled_from(("drop", "retype", "listify", "dangle")))
+    if op == "drop" and parent is not None:  # the root cannot be dropped: retype it
+        del parent[key]
+        return doc
+    if op == "listify":
+        new = [value]
+    elif op == "dangle" and isinstance(value, list):
+        new = value + ["no-such-id"]
+    elif op == "dangle":
+        new = "no-such-id"
+    else:
+        new = data.draw(_WRONG)
+    if parent is None:
+        return new
+    parent[key] = new
+    return doc
+
+
+@given(st.data())
+def test_cli_survives_mutated_corpus_files(data):
+    """A mutated bundled system gives its command's output or one error line
+    with exit 1 or 2, never an exception."""
+    name = data.draw(st.sampled_from(sorted(_json_systems())))
+    doc = json.loads(_json_systems()[name])
+    goal = next(iter(sorted(doc["goals"])), "none")
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    depth = data.draw(st.sampled_from((50, 5_000, 100_000)))
+    text = json.dumps(doc).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+    assume = data.draw(st.sampled_from(("P", "just", "J:T", "W:Z", "S:I", "SWI", "ST",
+                                        "S:C,reactive", "just,reactive")))
+    notion = data.draw(st.sampled_from(NOTIONS))
+    with tempfile.TemporaryDirectory() as tmp:
+        lts, path = str(Path(tmp, "lts.json")), str(Path(tmp, "path.json"))
+        Path(lts).write_text(text)
+        Path(path).write_text(_path_text(name))
+        argv = data.draw(st.sampled_from((
+            ["validate", lts],
+            ["liveness", lts, "--goal", goal, "--assume", assume],
+            ["classify", lts, path, "--assume", assume],
+            ["tasks", lts, "--notion", notion],
+            ["simulate", lts, "--goal", goal, "--runs", "20", "--horizon", "10"],
+            ["loopfree", lts, "--goal", goal, "--length", "3"],
+            ["extend", lts, "--notion", notion, "--steps", "5"])))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    if lines:
+        assert code in (1, 2) and not out.getvalue(), (argv, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    else:
+        assert code in (0, 1) and out.getvalue(), argv
+
+
+# Runs each argv list given as JSON through `main`, marking each exit code on
+# both streams so that the outputs of the commands stay apart.
+_DRIVER = """
+import json, sys
+from fairlab.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        print(f"-- exit {code}", file=stream, flush=True)
+"""
+
+
+def test_output_is_byte_identical_across_hash_seeds(tmp_path):
+    # a cycle s0 -> s1 -> s2 -> s0 whose states s1 and s2 each have a
+    # self-loop without a component set: justness names x1, the first met
+    repro, lasso = tmp_path / "repro.json", tmp_path / "lasso.json"
+    repro.write_text(json.dumps({
+        "states": [{"id": f"s{k}"} for k in range(3)],
+        "transitions": [{"id": f"t{k}", "source": f"s{k}", "target": f"s{(k + 1) % 3}",
+                         "label": "a", "comp": ["L"]} for k in range(3)]
+        + [{"id": f"x{k}", "source": f"s{k}", "target": f"s{k}", "label": "b"}
+           for k in (1, 2)],
+        "initial": ["s0"]}))
+    lasso.write_text(json.dumps({"start": "s0", "cycle": ["t0", "t1", "t2"]}))
+    argvs = [["corpus"]]
+    for name, text in _json_systems().items():
+        for goal in sorted(json.loads(text)["goals"]):
+            argvs += [["liveness", str(DATA / name), "--goal", goal, "--assume", a]
+                      for a in ("P", "just", "J:T", "W:I", "S:Z", "SWI", "ST",
+                                "just,reactive")]
+    argvs.append(["classify", str(repro), str(lasso), "--assume", "just"])
+    runs = []
+    for seed in ("0", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (str(SRC),
+                                                            os.environ.get("PYTHONPATH")))))
+        runs.append(subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(argvs)],
+                                   env=env, capture_output=True, timeout=300))
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.endswith(b"error: transition x1 carries no component set\n"
+                                   b"-- exit 1\n")
+    assert runs[0].stdout.count(b"-- exit") == len(argvs)

@@ -2,11 +2,19 @@
 
 The oracles are the character loop `_tokenize` and the token-by-token
 `_Parser` that the regex scanner, with its one-token relabellings, and the
-per-call relabelling memo replaced; they are copied as they were.  On every
+per-call relabelling memo replaced; they are copied as they were, except
+that an index `int` cannot read (such as "²") is a ParseError at its
+position here as in the parser, not a bare ValueError.  On every
 input both sides must give the same tokens (a RELABEL token standing for
 "[", the tokens of its interior and "]") or the same error text, and
 `parse_ccs` and `parse_expression` must give equal terms, the same span on
 every node and, for `parse_ccs`, the same name table.
+
+The elaboration oracle is the pair of passes that `_assign_names` merged:
+`_restrict_groups` rebuilt the parsed root with every fix term restricted
+to the definitions reachable from its variable, then `_assign_names` named
+the prefixes of that copy.  On every input the one pass must give the same
+term, span on every node and name table, or the same error.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from fairlab.labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from fairlab.lts import from_exploration
 from fairlab.parser import _KEYWORDS, ParseError, _close
 from fairlab.semantics import explore
-from fairlab.syntax import (Choice, Expr, Nil, Par, Prefix, ProcessSpec, RecSpec, Relabel,
-                            Restrict, Span, Var, walk)
+from fairlab.syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
+                            Relabel, Restrict, Span, Var, free_vars, walk)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -178,7 +186,7 @@ class _OracleParser:
         if self.at("#"):
             self.next()
             t = self.next()
-            if not t.text.isdigit():
+            if not t.text.isdecimal():
                 raise ParseError("expected a numeric index after #", t.span)
             return int(t.text)
         return None
@@ -220,7 +228,7 @@ class _OracleParser:
         if self.at("#"):
             self.next()
             t = self.next()
-            if t.text.isdigit():
+            if t.text.isdecimal():
                 src_idx = int(t.text)
             elif t.kind == "IDENT":
                 family, idxvar = True, t.text
@@ -241,13 +249,13 @@ class _OracleParser:
                     raise ParseError("index variable mismatch in relabelling", v.span)
                 self.expect("+")
                 off = self.next()
-                if off.kind != "INDEX":
+                if off.kind != "INDEX" or not off.text.isdecimal():
                     raise ParseError("expected a numeric offset", off.span)
                 offset = int(off.text)
                 self.expect(")")
             else:
                 t = self.next()
-                if t.text.isdigit():
+                if t.text.isdecimal():
                     dst_idx = int(t.text)
                 elif family and t.text == idxvar:
                     offset = 0
@@ -294,11 +302,77 @@ class _OracleParser:
         return RecSpec(tuple(bindings))
 
 
+def _oracle_restrict_groups(e: Expr) -> Expr:
+    if isinstance(e, Fix):
+        dom = set(e.spec.domain())
+        reach = {e.var}
+        frontier = [e.var]
+        while frontier:
+            for w in sorted(free_vars(e.spec.body(frontier.pop())) & dom):
+                if w not in reach:
+                    reach.add(w)
+                    frontier.append(w)
+        kept = tuple((v, _oracle_restrict_groups(b)) for v, b in e.spec.bindings if v in reach)
+        return Fix(e.var, RecSpec(kept), span=e.span)
+    if isinstance(e, Prefix):
+        return Prefix(e.action, e.name, _oracle_restrict_groups(e.body), span=e.span)
+    if isinstance(e, Choice):
+        return Choice(_oracle_restrict_groups(e.left), _oracle_restrict_groups(e.right),
+                      span=e.span)
+    if isinstance(e, Par):
+        return Par(_oracle_restrict_groups(e.left), _oracle_restrict_groups(e.right),
+                   span=e.span)
+    if isinstance(e, Restrict):
+        return Restrict(_oracle_restrict_groups(e.body), e.name, span=e.span)
+    if isinstance(e, Relabel):
+        return Relabel(_oracle_restrict_groups(e.body), e.fn, span=e.span)
+    return e
+
+
+def _oracle_assign_names(root: Expr):
+    table: dict[str, tuple[Span | None, ActionLabel]] = {}
+    counters: dict[str, int] = {}
+
+    def fresh(label: ActionLabel, span: Span | None, explicit: str) -> str:
+        if explicit:
+            if explicit in table and table[explicit][1] != label:
+                raise ParseError(
+                    f"instruction name {explicit!r} reused with a different action", span)
+            table.setdefault(explicit, (span, label))
+            return explicit
+        base = str(label).lstrip("'").replace("#", "_")
+        counters[base] = counters.get(base, 0) + 1
+        name = f"{base}@{counters[base]}"
+        while name in table:
+            counters[base] += 1
+            name = f"{base}@{counters[base]}"
+        table[name] = (span, label)
+        return name
+
+    def walk_names(e: Expr) -> Expr:
+        if isinstance(e, Prefix):
+            name = fresh(e.action, e.span, e.name)
+            return Prefix(e.action, name, walk_names(e.body), span=e.span)
+        if isinstance(e, Choice):
+            return Choice(walk_names(e.left), walk_names(e.right), span=e.span)
+        if isinstance(e, Par):
+            return Par(walk_names(e.left), walk_names(e.right), span=e.span)
+        if isinstance(e, Restrict):
+            return Restrict(walk_names(e.body), e.name, span=e.span)
+        if isinstance(e, Relabel):
+            return Relabel(walk_names(e.body), e.fn, span=e.span)
+        if isinstance(e, Fix):
+            named = RecSpec(tuple((v, walk_names(b)) for v, b in e.spec.bindings))
+            return Fix(e.var, named, span=e.span)
+        return e
+
+    return walk_names(_oracle_restrict_groups(root)), table
+
+
 # -- comparison -------------------------------------------------------------
 
 def _outcome(fn, text):
-    """fn(text), or the type and text of the error it raised (the oracle
-    lets `int` raise a bare ValueError on a non-ASCII digit such as "²")."""
+    """fn(text), or the type and text of the error it raised."""
     try:
         return "ok", fn(text)
     except ValueError as exc:
@@ -353,6 +427,25 @@ def _check(text: str, expression_only: bool = False) -> None:
                              _Parser=_OracleParser):
         old = _parses(text, expression_only)
     assert new == old, text
+    _check_elaboration(text)
+
+
+def _elaboration(assign, root):
+    """The named term, the span of every node and the name table in order."""
+    try:
+        named, table = assign(root)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return named, [(type(n).__name__, n.span) for n, _ in walk(named)], list(table.items())
+
+
+def _check_elaboration(text: str) -> None:
+    try:
+        root = parser._parse_root(parser._Parser(parser._tokenize(text)))
+    except ValueError:
+        return  # no parsed root to elaborate
+    assert _elaboration(parser._assign_names, root) == _elaboration(_oracle_assign_names,
+                                                                    root), text
 
 
 # -- inputs -----------------------------------------------------------------
@@ -380,6 +473,10 @@ _EDGES = (
     "X[a\t->\rb ,] where X = a.X", "X\n  [a -> b]\n  [a -> ] where X = a.X",
     "(X where X = a.X)[a -> b]\n[a -> b]", "[a -> b]", "a.[a -> b]", "X where X = a.X [a -> b]",
     "nonblocking a, b\na.0 | 'b.0", "a.(X[a -> b]) where X = tau.X + 'a#3{n}.0",
+    # Y is reachable from X only through V, which U cannot reach
+    "X where X = a.(U where U = b.U, V = c.Y), Y = d.Y",
+    "X[b#² -> c] where X = b#0.X", "X[b -> c#²] where X = b#0.X",
+    "X[b#i -> c#(i+²)] where X = b#0.X",
 )
 
 _PIECES = ("a", "b", "X", "Y", "_u", "tau", "where", "nonblocking", "0", "1", "07",
@@ -399,6 +496,36 @@ _TERMS = st.recursive(_ATOMS, lambda t: st.one_of(
     max_leaves=10)
 _SPECS = st.tuples(_TERMS, st.sampled_from(
     ("", " where X = a.X", " where X = b#0.(X[b#i -> b#(i+1)])\n-- tail"))).map("".join)
+
+
+@st.composite
+def _grouped(draw, depth: int, scope: tuple[str, ...]) -> str:
+    """A term over the variables in scope whose where-groups nest up to
+    `depth` deep; a group's definitions may mention its own and any outer
+    variable, reachable from its variable or not."""
+    pick = draw(st.integers(0, 6 if depth else 2))
+    if pick == 0:
+        return draw(st.sampled_from(("0", "a", "b{n}", "tau")))
+    if pick in (1, 2):
+        return draw(st.sampled_from(scope)) if scope else "0"
+    if pick == 3:
+        return draw(st.sampled_from(("a.", "'b.", "c#1.", "a{n}."))) + draw(
+            _grouped(depth - 1, scope))
+    if pick == 4:
+        op = draw(st.sampled_from((" + ", " | ")))
+        return f"({draw(_grouped(depth - 1, scope))}{op}{draw(_grouped(depth - 1, scope))})"
+    if pick == 5:
+        return f"({draw(_grouped(depth - 1, scope))})[a -> b]"
+    names = [f"{v}{depth}" for v in "UVW"][:draw(st.integers(1, 3))]
+    inner = scope + tuple(names)
+    defs = ", ".join(f"{v} = {draw(_grouped(depth - 1, inner))}" for v in names)
+    return f"({draw(_grouped(depth - 1, inner))} where {defs})"
+
+
+# A root group shared by several positions of the root, over nested groups.
+_GROUPED = st.tuples(_grouped(3, ("X", "Y", "Z")), st.lists(
+    _grouped(2, ("X", "Y", "Z")), min_size=3, max_size=3)).map(
+    lambda p: f"{p[0]} where X = {p[1][0]}, Y = {p[1][1]}, Z = {p[1][2]}")
 
 
 # -- tests ------------------------------------------------------------------
@@ -430,3 +557,8 @@ def test_scanner_and_parser_match_the_oracles_on_explored_states():
                  st.text(alphabet="aXb_01#i()->[]{}+|.,\\='\n\t -é²½Ω", max_size=40)))
 def test_scanner_and_parser_match_the_oracles_on_drawn_strings(text):
     _check(text)
+
+
+@given(_GROUPED)
+def test_elaboration_matches_the_oracle_on_nested_and_shared_groups(text):
+    _check_elaboration(text)

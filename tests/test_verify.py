@@ -9,8 +9,9 @@ import pytest
 
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
-from fairlab.lts import AugmentedLTS, State, Task, TaskSet, Transition, named_goal
-from fairlab.paths import Assumption, Lasso, PathPrefix, classify_lasso
+from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition,
+                         named_goal)
+from fairlab.paths import Assumption, Lasso, PathPrefix, classify_lasso, just_stem
 from fairlab.tasks import extract_tasks
 from fairlab.verify import (Bounds, agef, fair_extend, fair_lasso,
                             hierarchy_check, liveness, loopfree_witness,
@@ -173,6 +174,83 @@ def test_hierarchy_judges_each_side_under_its_own_reactive_flag():
                 mismatches.append((str(stronger), str(weaker), report.violations, first))
     assert not mismatches, (len(mismatches), mismatches[:3])
     assert separated > 500
+
+
+def _parent_just_stem_ok(lts, start, steps, comps_u, obligations) -> bool:
+    """The eager stem check `hierarchy_check` used before it shared
+    `paths.just_stem` with the classifier, copied as it was."""
+    states = [start]
+    for tid in steps:
+        states.append(lts.transition(tid).target)
+    avail: list[frozenset[str]] = [frozenset()] * (len(steps) + 1)
+    acc = frozenset(comps_u)
+    for k in range(len(steps), -1, -1):
+        avail[k] = acc
+        if k > 0:
+            acc = acc | lts.comp_of(steps[k - 1])
+    for k in range(len(steps)):
+        for need in obligations[states[k]]:
+            if not (need & avail[k]):
+                return False
+    return True
+
+
+def _compare_just_stems(lts, bounds, tally):
+    """Every rooted lasso within bounds, under both ,reactive flags, where
+    `hierarchy_check` would judge stems: the obligation table and the
+    cycle's components can be read."""
+    walks = rooted_walks(lts, bounds.stem)
+    for reactive in (False, True):
+        try:
+            obligations = {s.id: tuple(lts.comp_of(t.id) for t in lts.outgoing(s.id, reactive))
+                           for s in lts.states}
+        except AnnotationError:
+            tally["skipped"] += 1
+            continue
+        for entry in sorted(walks):
+            for cycle in simple_cycles_at(lts, entry, bounds.cycle):
+                try:
+                    comps_u = frozenset().union(*(lts.comp_of(t) for t in cycle))
+                except AnnotationError:
+                    tally["skipped"] += 1
+                    continue
+                for start, steps in walks[entry]:
+                    got = _outcome(just_stem, lts, start, steps, comps_u, reactive)
+                    assert got == _outcome(_parent_just_stem_ok, lts, start, steps, comps_u,
+                                           obligations), (start, steps, cycle)
+                    tally[got] += 1
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AnnotationError as exc:
+        return f"AnnotationError: {exc}"
+
+
+def test_just_stem_matches_the_parent_check():
+    tally = {True: 0, False: 0, "skipped": 0}
+    for built in build_all():
+        if not built.lts.truncated:
+            _compare_just_stems(built.lts, Bounds(3, 4), tally)
+    rng = random.Random(2)  # the systems of the reactive-flag hierarchy test
+    for _ in range(400):
+        _compare_just_stems(_random_annotated_system(rng), Bounds(3, 4), tally)
+    assert tally[True] > 10_000 and tally[False] > 10_000 and tally["skipped"] > 0
+
+
+def test_hierarchy_reads_only_the_component_sets_justness_owes():
+    # t0 is blocking and has no component set: under ,reactive it is owed
+    # nothing, so the check runs; without ,reactive the up-front read skips it
+    lts = AugmentedLTS([State("s0", None), State("s1", None)],
+                       [Transition("t0", "s0", "s1", parse_label("a"), None, None, True),
+                        Transition("t1", "s1", "s1", parse_label("tau"), None,
+                                   frozenset({"L"}), False)], ["s0"])
+    report = hierarchy_check(lts, Assumption("P"), Assumption("Just", reactive=True),
+                             Bounds(2, 3))
+    assert not report.skipped and report.checked == 2 and not report.violations
+    report = hierarchy_check(lts, Assumption("P"), Assumption("Just"), Bounds(2, 3))
+    assert report.skipped == "missing annotations: transition t0 carries no component set"
 
 
 def test_hierarchy_tells_custom_task_sets_apart():
