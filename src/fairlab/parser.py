@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
                      Relabel, Restrict, Span, Var, free_vars, instruction_paths,
-                     print_expr, well_named)
+                     naming_violation, print_expr)
 
 
 class ParseError(ValueError):
@@ -442,8 +442,12 @@ def parse_ccs(text: str) -> ProcessSpec:
     # explicit annotations may deliberately share a name across occurrences
     # (one instruction with several source positions), but only as far as
     # well-namedness allows: unguarded occurrences stay pairwise distinct
-    if not well_named(named):
-        raise ParseError("explicit instruction names violate well-namedness")
+    bad = naming_violation(named)
+    if bad is not None:
+        name, par = bad
+        if par is not None:
+            raise ParseError(f"instruction name {name!r} occurs on both sides of '|'", par.span)
+        raise ParseError(f"instruction name {name!r} occurs twice unguarded", table[name][0])
     paths = instruction_paths(named)
     for name, where in paths.items():
         if len(set(where)) > 1:

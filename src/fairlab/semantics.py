@@ -78,7 +78,7 @@ def _subst_fix(body: Expr, spec: RecSpec, mk) -> Expr:
 def step(state: Expr) -> list[Step]:
     """All transitions derivable from a closed expression, deterministically
     ordered by (label, instruction set, target print).  Stuck states give []."""
-    return _ordered(_step(state, 0, _interner(), {}))
+    return _ordered(_step(state, _interner(), {}))
 
 
 def _ordered(steps: list[Step]) -> list[Step]:
@@ -96,13 +96,17 @@ def _ordered(steps: list[Step]) -> list[Step]:
     return out
 
 
-def _step(e: Expr, depth: int, mk, memo: dict[int, list[Step]]) -> list[Step]:
-    """The unordered steps of e, memoised by the identity of interned nodes."""
-    out = memo.get(id(e))
-    if out is not None:
+def _step(e: Expr, mk, memo: dict[int, list[Step] | None]) -> list[Step]:
+    """The unordered steps of e, memoised by the identity of interned nodes.
+    A node is marked None while its steps are derived: meeting it again
+    means an unguarded recursion, which re-enters the same interned fix term
+    within two unfoldings."""
+    if id(e) in memo:
+        out = memo[id(e)]
+        if out is None:
+            raise SemanticsError("unguarded recursion: derivation does not terminate")
         return out
-    if depth > 4096:
-        raise SemanticsError("unguarded recursion: derivation does not terminate")
+    memo[id(e)] = None
     if isinstance(e, Var):
         raise SemanticsError(f"cannot step open expression (free {e.x})")
     if isinstance(e, Nil):
@@ -110,10 +114,10 @@ def _step(e: Expr, depth: int, mk, memo: dict[int, list[Step]]) -> list[Step]:
     elif isinstance(e, Prefix):
         out = [Step(e.action, frozenset([e.name]), e.body)]
     elif isinstance(e, Choice):
-        out = _step(e.left, depth, mk, memo) + _step(e.right, depth, mk, memo)
+        out = _step(e.left, mk, memo) + _step(e.right, mk, memo)
     elif isinstance(e, Par):
-        left = _step(e.left, depth, mk, memo)
-        right = _step(e.right, depth, mk, memo)
+        left = _step(e.left, mk, memo)
+        right = _step(e.right, mk, memo)
         out = [Step(s.label, s.instr, mk(Par, s.target, e.right)) for s in left]
         out += [Step(s.label, s.instr, mk(Par, e.left, s.target)) for s in right]
         for ls in left:
@@ -125,13 +129,13 @@ def _step(e: Expr, depth: int, mk, memo: dict[int, list[Step]]) -> list[Step]:
                     out.append(Step(TAU, ls.instr | rs.instr, mk(Par, ls.target, rs.target)))
     elif isinstance(e, Restrict):
         out = [Step(s.label, s.instr, mk(Restrict, s.target, e.name))
-               for s in _step(e.body, depth, mk, memo)
+               for s in _step(e.body, mk, memo)
                if s.label.is_tau or s.label.base != e.name]
     elif isinstance(e, Relabel):
         out = [Step(e.fn.apply(s.label), s.instr, mk(Relabel, s.target, e.fn))
-               for s in _step(e.body, depth, mk, memo)]
+               for s in _step(e.body, mk, memo)]
     elif isinstance(e, Fix):
-        out = _step(_subst_fix(e.spec.body(e.var), e.spec, mk), depth + 1, mk, memo)
+        out = _step(_subst_fix(e.spec.body(e.var), e.spec, mk), mk, memo)
     else:
         raise TypeError(f"unknown node {e!r}")
     memo[id(e)] = out
@@ -211,7 +215,7 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
                 truncated = True
                 continue
             expanded.add(sid)
-            for s in _ordered(_step(expr, 0, mk, memo)):
+            for s in _ordered(_step(expr, mk, memo)):
                 tid = admit(s.target)
                 if tid is None:
                     continue

@@ -194,83 +194,57 @@ def free_vars(e: Expr) -> set[str]:
 # Unguarded occurrences and well-namedness.
 # ---------------------------------------------------------------------------
 
-def _unguarded_var_names(e: Expr) -> set[str]:
-    """Process variables with an unguarded occurrence in e (prefix bodies skipped)."""
-    if isinstance(e, Var):
-        return {e.x}
-    if isinstance(e, Prefix):
-        return set()
-    if isinstance(e, Fix):
-        return _fix_unguarded(e)[1]
-    out: set[str] = set()
-    for c in children(e):
-        out |= _unguarded_var_names(c)
-    return out
-
-
-def _fix_unguarded(e: Fix) -> tuple[list[str], set[str]]:
-    """Bodies of e's group that are unguarded-reachable from e.var, and the
-    free variables still unguarded after closing under the group."""
-    dom = set(e.spec.domain())
-    reached: list[str] = []
-    frontier = [e.var]
-    outside: set[str] = set()
-    while frontier:
-        v = frontier.pop()
-        if v in reached:
-            continue
-        reached.append(v)
-        for w in _unguarded_var_names(e.spec.body(v)):
-            if w in dom:
-                if w not in reached:
-                    frontier.append(w)
-            else:
-                outside.add(w)
-    return reached, outside
-
-
-def unguarded_prefix_names(e: Expr) -> list[str]:
-    """Instruction names of unguarded action occurrences of e (with multiplicity)."""
-    if isinstance(e, Prefix):
-        return [e.name]
-    if isinstance(e, Fix):
-        reached, _ = _fix_unguarded(e)
-        return [n for v in reached for n in unguarded_prefix_names(e.spec.body(v))]
-    out: list[str] = []
-    for c in children(e):
-        out.extend(unguarded_prefix_names(c))
-    return out
-
-
-def extended_subexpressions(e: Expr) -> list[Expr]:
-    """All extended subexpressions of e (fix siblings included), deduplicated."""
-    seen: dict[str, Expr] = {}
+def _unguarded(e: Expr) -> tuple[list[str], set[str]]:
+    """Names of e's unguarded action occurrences (with multiplicity) and the
+    variables still unguarded in e; a fix term takes in the bodies of its
+    group unguarded-reachable from its variable.  Recurses only per group."""
+    names: list[str] = []
+    free: set[str] = set()
     stack = [e]
     while stack:
         n = stack.pop()
-        key = print_expr(n)
-        if key in seen:
-            continue
-        seen[key] = n
-        stack.extend(children(n))
-        if isinstance(n, Fix):
-            for v, b in n.spec.bindings:
-                stack.append(b)
-                if v != n.var:
-                    stack.append(Fix(v, n.spec))
-    return list(seen.values())
+        if isinstance(n, Prefix):
+            names.append(n.name)
+        elif isinstance(n, Var):
+            free.add(n.x)
+        elif isinstance(n, Fix):
+            dom, reached = set(n.spec.domain()), [n.var]
+            for v in reached:  # grows as bodies are reached
+                more, vs = _unguarded(n.spec.body(v))
+                names += more
+                free |= vs - dom
+                reached += sorted(vs & dom - set(reached))
+        else:
+            stack += reversed(children(n))
+    return names, free
+
+
+def naming_violation(e: Expr) -> tuple[str, Par | None] | None:
+    """A name keeping e from being well-named, with the parallel composition
+    whose arms share it (None if it occurs twice unguarded); None if e is
+    well-named.  The unguarded occurrences of every extended subexpression
+    are a sub-multiset of those of a guard root -- e, a prefix body or a fix
+    term of a group in e -- so only the guard roots are checked."""
+    roots, groups = [e], set()
+    for n, _ in walk(e):
+        if isinstance(n, Prefix):
+            roots.append(n.body)
+        elif isinstance(n, Fix) and id(n.spec) not in groups:
+            groups.add(id(n.spec))
+            roots += [Fix(v, n.spec) for v in n.spec.domain()]
+        elif isinstance(n, Par) and (shared := all_names(n.left) & all_names(n.right)):
+            return min(shared), n
+    for root in roots:
+        names = _unguarded(root)[0]
+        if len(names) != len(set(names)):
+            return next(x for k, x in enumerate(names) if x in names[:k]), None
+    return None
 
 
 def well_named(e: Expr) -> bool:
     """Every extended subexpression has pairwise-distinct names on its
     unguarded action occurrences, and parallel arms have disjoint name sets."""
-    for sub in extended_subexpressions(e):
-        names = unguarded_prefix_names(sub)
-        if len(names) != len(set(names)):
-            return False
-        if isinstance(sub, Par) and all_names(sub.left) & all_names(sub.right):
-            return False
-    return True
+    return naming_violation(e) is None
 
 
 # ---------------------------------------------------------------------------

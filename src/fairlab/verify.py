@@ -273,39 +273,23 @@ def _is_strongly_connected(cset: set[str], succ) -> bool:
 def _covering_cycle(edges: list, entry: str):
     """A closed walk from `entry` through the induced subgraph taking every
     induced transition at least once."""
+    edges = sorted(edges, key=_tid_key)
     by_src: dict[str, list] = {}
     for t in edges:
-        by_src.setdefault(t.source, []).append(t)
-    for v in by_src:
-        by_src[v].sort(key=_tid_key)
+        by_src.setdefault(t.source, []).append((t.id, t.target))
 
-    def shortest_path(frm: str, to: str) -> list:
-        if frm == to:
-            return []
-        seen = {frm}
-        frontier = [(frm, [])]
-        while frontier:
-            nxt = []
-            for v, path in frontier:
-                for t in by_src.get(v, []):
-                    if t.target in seen:
-                        continue
-                    p2 = path + [t]
-                    if t.target == to:
-                        return p2
-                    seen.add(t.target)
-                    nxt.append((t.target, p2))
-            frontier = nxt
-        raise AssertionError("induced subgraph not strongly connected")
+    def path(frm: str, to: str) -> tuple:
+        if frm == to:  # the usual case, e.g. after a self-loop: skip the search's setup
+            return ()
+        return _shortest([frm], lambda v: by_src.get(v, ()), to.__eq__)[1]
 
     walk: list = []
     at = entry
-    for t in sorted(edges, key=_tid_key):
-        walk.extend(shortest_path(at, t.source))
-        walk.append(t)
+    for t in edges:
+        walk += path(at, t.source)
+        walk.append(t.id)
         at = t.target
-    walk.extend(shortest_path(at, entry))
-    return [t.id for t in walk]
+    return walk + list(path(at, entry))
 
 
 def _fair_cycle_witness(lts: AugmentedLTS, region: set[str], region_out,
@@ -316,13 +300,9 @@ def _fair_cycle_witness(lts: AugmentedLTS, region: set[str], region_out,
         return succ_map.get(v, [])
 
     for scc in _scc_partition(region, succ):
-        if not any(t.target in set(scc) for s in scc for t in region_out[s]):
-            continue
         for cset_list in _strongly_connected_subsets(scc, succ):
             cset = set(cset_list)
             edges = [t for s in cset_list for t in region_out[s] if t.target in cset]
-            if not edges:
-                continue
             entry = cset_list[0]
             cycle = _covering_cycle(edges, entry)
             # quick cycle-level test with an empty stem anchored at the entry

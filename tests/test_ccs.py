@@ -80,11 +80,27 @@ def test_parse_errors():
     ("X[b#² -> c] where X = b#0.X", "expected an index or index variable after # at 1:5"),
     ("X[b -> c#²] where X = b#0.X", "bad relabelling target index at 1:10"),
     ("X[b#i -> c#(i+²)] where X = b#0.X", "expected a numeric offset at 1:15"),
+    # well-namedness names the offending instruction: a duplicate at its
+    # first occurrence, a name shared across "|" at that "|"
+    ("a{n}.0 + a{n}.0", "instruction name 'n' occurs twice unguarded at 1:1"),
+    ("b.0\n  + c.(a{n}.0 + d.0 + a{n}.0)", "instruction name 'n' occurs twice unguarded at 2:8"),
+    ("X where X = b.Y, Y = a{n}.0 + a{n}.Y",
+     "instruction name 'n' occurs twice unguarded at 1:22"),
+    ("a{n}.0 | b.0\n  | a{n}.0", "instruction name 'n' occurs on both sides of '|' at 2:3"),
+    ("X | X where X = a{n}.X", "instruction name 'n' occurs on both sides of '|' at 1:3"),
 ])
 def test_parse_error_messages_and_positions(src, message):
     with pytest.raises(ParseError) as exc:
         parse_ccs(src)
     assert str(exc.value) == message
+
+
+def test_wide_choice_and_parallel_parse():
+    # the well-namedness check walks a 900-operand left-nested tree without
+    # recursing per operand
+    for op in (" + ", " | "):
+        spec = parse_ccs(op.join(f"a{i}.0" for i in range(900)))
+        assert len(spec.name_table) == 900
 
 
 def test_non_ascii_decimal_index():

@@ -12,6 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from fairlab.cli import main
@@ -52,6 +53,20 @@ def test_ccs2lts_fragment_diagnostic_exits_1(tmp_path, capsys):
     code = main(["ccs2lts", str(bad), str(tmp_path / "out.json")])
     assert code == 1
     assert "unguarded" in capsys.readouterr().err
+
+
+# the unguarded recursions `explore` rejects are refused before exploring
+_UNGUARDED = ("X where X = X + a", "X where X = (X)[a -> b] + c",
+              "X where X = Y + a, Y = X + b", "X | c where X = X\\a + b")
+
+
+@pytest.mark.parametrize("src", _UNGUARDED)
+def test_ccs2lts_unguarded_recursion_is_a_fragment_diagnostic(tmp_path, capsys, src):
+    bad = tmp_path / "bad.ccs"
+    bad.write_text(src)
+    assert main(["ccs2lts", str(bad), str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unguarded occurrence of variable" in err
 
 
 def test_ccs2lts_missing_input_exits_2(tmp_path, capsys):

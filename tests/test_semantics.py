@@ -70,6 +70,19 @@ def test_step_open_expression_rejected():
         step(parse_expression("X"))
 
 
+# specs outside the fragment whose derivations never reach a prefix
+_UNGUARDED = ("X where X = X + a", "X where X = (X)[a -> b] + c",
+             "X where X = Y + a, Y = X + b", "X | c where X = X\\a + b")
+
+
+@pytest.mark.parametrize("src", _UNGUARDED)
+def test_unguarded_recursion_is_a_semantics_error(src):
+    with pytest.raises(SemanticsError, match="unguarded recursion"):
+        explore(parse_ccs(src))
+    with pytest.raises(SemanticsError, match="unguarded recursion"):
+        step(parse_ccs(src).root)
+
+
 def test_explore_ex_5_1():
     rep = explore(parse_ccs("a | X where X = a.X"))
     assert len(rep.states) == 2

@@ -10,10 +10,11 @@ import pytest
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition,
-                         named_goal)
-from fairlab.paths import Assumption, Lasso, PathPrefix, classify_lasso, just_stem
+                         named_goal, validate_side_conditions)
+from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite, classify_lasso,
+                           just_stem)
 from fairlab.tasks import extract_tasks
-from fairlab.verify import (Bounds, agef, fair_extend, fair_lasso,
+from fairlab.verify import (Bounds, agef, fair_extend, fair_lasso, figure2_arrows,
                             hierarchy_check, liveness, loopfree_witness,
                             rooted_walks, simple_cycles_at, simulate)
 
@@ -141,6 +142,104 @@ def _random_annotated_system(rng) -> AugmentedLTS:
                               rng.random() < 0.5)
                    for k in range(rng.randint(1, 4))]
     return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"])
+
+
+def _random_goal_systems() -> list[tuple[AugmentedLTS, frozenset[str]]]:
+    """1,500 random annotated systems, each with a random goal (maybe empty)."""
+    rng = random.Random(1810)
+    out = []
+    for _ in range(1500):
+        lts = _random_annotated_system(rng)
+        out.append((lts, frozenset(s.id for s in lts.states if rng.random() < 0.3)))
+    return out
+
+
+def _is_fair(lts, witness, assumption) -> bool:
+    if isinstance(witness, Lasso):
+        return classify_lasso(lts, witness, assumption)
+    return classify_finite(lts, witness, assumption)
+
+
+def _fig2_consistency(lts, goal, tally, problems, where) -> None:
+    """Along every Fig. 2 arrow whose side conditions validate on lts: a
+    weaker yes implies a stronger yes, and a stronger no witness is
+    weaker-fair.  Pairs whose annotations are missing are skipped."""
+    held = {c.name for c in validate_side_conditions(lts) if c.checked and c.holds}
+    for stronger, weaker, conditions in figure2_arrows():
+        if not all(any(name.startswith(need) for name in held) for need in conditions):
+            continue
+        try:
+            strong, weak = liveness(lts, goal, stronger), liveness(lts, goal, weaker)
+            transfers = strong.holds == "no" and _is_fair(lts, strong.witness, weaker)
+        except AnnotationError:
+            continue
+        tally[0] += 1
+        if weak.holds == "yes" and strong.holds != "yes":
+            problems.append((where, str(stronger), str(weaker), "weaker yes, stronger no"))
+        if strong.holds == "no":
+            tally[1] += 1
+            if not transfers:
+                problems.append((where, str(stronger), str(weaker), strong.witness))
+
+
+def test_figure2_arrows_agree_with_liveness_on_the_corpus():
+    tally, problems = [0, 0], []
+    for built in build_all():
+        lts = built.lts
+        if lts.truncated:
+            continue
+        for goal_name in sorted(lts.goals):
+            _fig2_consistency(lts, named_goal(lts, goal_name), tally, problems,
+                              (built.entry.id, goal_name))
+    assert not problems, problems[:5]
+    assert tally[0] > 500 and tally[1] > 200, tally
+
+
+def test_figure2_arrows_agree_with_liveness_on_random_systems():
+    tally, problems = [0, 0], []
+    for k, (lts, goal) in enumerate(_random_goal_systems()):
+        _fig2_consistency(lts, goal, tally, problems, k)
+    assert not problems, problems[:5]
+    assert tally[0] > 20000 and tally[1] > 10000, tally
+
+
+def _visits(lts, start, steps) -> list[str]:
+    states = [start]
+    for tid in steps:
+        states.append(lts.transition(tid).target)
+    return states
+
+
+def test_liveness_witnesses_and_reachability_verdicts_on_random_systems():
+    """Every no witness is a rooted, goal-avoiding path that is fair under its
+    own assumption, and ST, Fu and Pr say yes exactly when AGEF holds."""
+    pathwise = [("P", ""), ("Just", "")] + [(kind, y) for kind in "JWS" for y in "ATCG"]
+    verdicts, witnesses, problems = 0, 0, []
+    for k, (lts, goal) in enumerate(_random_goal_systems()):
+        for reactive in (False, True):
+            for kind, notion in pathwise:
+                assumption = Assumption(kind, notion, None, reactive)
+                try:
+                    verdict = liveness(lts, goal, assumption)
+                    w = verdict.witness
+                    fair = verdict.holds != "no" or _is_fair(lts, w, assumption)
+                except AnnotationError:
+                    continue
+                verdicts += 1
+                if verdict.holds == "no":
+                    witnesses += 1
+                    steps = w.stem + w.cycle if isinstance(w, Lasso) else w.steps
+                    if (not fair or w.start not in lts.initial
+                            or goal & set(_visits(lts, w.start, steps))):
+                        problems.append((k, str(assumption), w))
+            reach = "yes" if agef(lts, goal, reactive) else "no"
+            for kind in ("ST", "Fu", "Pr"):
+                verdicts += 1
+                assumption = Assumption(kind, reactive=reactive)
+                if liveness(lts, goal, assumption).holds != reach:
+                    problems.append((k, str(assumption), reach))
+    assert not problems, problems[:5]
+    assert verdicts > 40000 and witnesses > 20000, (verdicts, witnesses)
 
 
 def test_hierarchy_judges_each_side_under_its_own_reactive_flag():
