@@ -200,12 +200,6 @@ class AugmentedLTS:
             raise AnnotationError(f"transition {tid} carries no component set")
         return c
 
-    def instr_of(self, tid: str) -> frozenset[str]:
-        i = self.transition(tid).instr
-        if i is None:
-            raise AnnotationError(f"transition {tid} carries no instruction set")
-        return i
-
     def instructions(self) -> list[str]:
         return list(self.memo(("instructions",), lambda: sorted(
             {i for t in self.transitions if t.instr for i in t.instr})))
@@ -404,26 +398,30 @@ def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
     """An instruction is requested when its component, viewed in isolation,
     can fire it (no restriction context applies).  What each component can
     fire in each state is computed once per system."""
-    path = lts.cmp().get(instruction)
-    if path is None:
-        raise AnnotationError(f"unknown instruction {instruction!r}")
-    fires = lts.memo(("requests", state, path), _fires, lts, state, path)
+    fires = _fires(lts, instruction, state)
     if fires is None:
-        raise AnnotationError(f"component {path!r} absent in state {state}")
+        raise AnnotationError(f"component {lts.cmp()[instruction]!r} absent in state {state}")
     return instruction in fires
 
 
-def _fires(lts: AugmentedLTS, state: str, path: str) -> frozenset[str] | None:
+def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
+    """`requested`, with an absent component requesting nothing; a system not
+    of ccs origin, or a state without an expression, still raises."""
+    return instruction in (_fires(lts, instruction, state) or ())
+
+
+def _fires(lts: AugmentedLTS, instruction: str, state: str) -> frozenset[str] | None:
+    """What the instruction's component can fire in the state on its own;
+    None when the state lacks that component."""
+    path = lts.cmp().get(instruction)
+    if path is None:
+        raise AnnotationError(f"unknown instruction {instruction!r}")
+    return lts.memo(("requests", state, path), _component_fires, lts, state, path)
+
+
+def _component_fires(lts: AugmentedLTS, state: str, path: str) -> frozenset[str] | None:
     comp = project(lts.state_expr(state), path)
     return None if comp is None else frozenset(i for s in step(comp) for i in s.instr)
-
-
-def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
-    """`requested`, with an absent component requesting nothing."""
-    try:
-        return requested(lts, instruction, state)
-    except AnnotationError:
-        return False
 
 
 # ---------------------------------------------------------------------------

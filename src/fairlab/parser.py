@@ -455,7 +455,7 @@ def parse_ccs(text: str) -> ProcessSpec:
                              f"components {sorted(set(where))}")
     return ProcessSpec(root=named, name_table=table,
                        cmp_map={name: where[0] for name, where in paths.items()},
-                       nonblocking=frozenset(nonblocking), source=text)
+                       nonblocking=frozenset(nonblocking))
 
 
 def roundtrips(spec: ProcessSpec) -> bool:

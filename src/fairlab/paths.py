@@ -6,8 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .lts import (AnnotationError, AugmentedLTS, Task, TaskSet, read_json,
-                  requested_if_present)
+from .lts import AugmentedLTS, Task, TaskSet, read_json, requested_if_present
 from .tasks import NOTIONS, extract_tasks
 
 
@@ -149,9 +148,10 @@ def parse_assumption(text: str,
 
 
 def resolve_tasks(lts: AugmentedLTS, assumption: Assumption) -> TaskSet:
+    """The tasks J/W/S judge; SWI judges the instruction tasks."""
     if assumption.taskset is not None:
         return assumption.taskset
-    return extract_tasks(lts, assumption.notion)
+    return extract_tasks(lts, "I" if assumption.kind == "SWI" else assumption.notion)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,6 @@ def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False
         if t.id in task.members and not (lts.comp_of(t.id) & ucomp):
             return True
     return False
-
-
-def instr_enabled(lts: AugmentedLTS, instruction: str, state: str,
-                  reactive: bool = False) -> bool:
-    return any(t.instr is not None and instruction in t.instr
-               for t in lts.outgoing(state, reactive))
 
 
 def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
@@ -205,7 +199,9 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     set's membership table, so the cost is the cycle's length plus the
     out-degrees of its states, times the tasks per transition, not
     |tasks| x |cycle|.  J then checks enabled-during for the few tasks that
-    are enabled at every cycle state and do not occur, in task order.
+    are enabled at every cycle state and do not occur, in task order.  SWI
+    reads the instruction tasks as S:I does, and asks whether each task S:I
+    would owe has its instruction requested at every cycle state.
     """
     if not assumption.pathwise():
         raise ValueError(f"{assumption.kind} is a liveness-level assumption, "
@@ -218,20 +214,15 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     cyc_states = sorted(lasso.cycle_states(lts))
     if kind == "Just":
         return _just_lasso(lts, lasso, reactive)
-    if kind == "SWI":
-        for i in _all_instructions(lts):
-            if any(i in lts.instr_of(t) for t in lasso.cycle):
-                continue
-            requested_everywhere = all(requested_if_present(lts, i, s) for s in cyc_states)
-            enabled_somewhere = any(instr_enabled(lts, i, s, reactive) for s in cyc_states)
-            if requested_everywhere and enabled_somewhere:
-                return False
-        return True
     ts = resolve_tasks(lts, assumption)
     occurring = {k for u in lasso.cycle for k in ts.containing.get(u, ())}
     per_state = [enabled_tasks(lts, ts, s, reactive) - occurring for s in cyc_states]
     if kind == "S":
         return not set().union(*per_state)
+    if kind == "SWI":  # task "I:i" is instruction i
+        return not any(all(requested_if_present(lts, ts.tasks[k].name[2:], s)
+                           for s in cyc_states)
+                       for k in sorted(set().union(*per_state)))
     perpetual = set.intersection(*per_state)  # enabled at every cycle state, never taken
     if kind == "J":
         return not any(all(enabled_during(lts, ts.tasks[k], u, reactive) for u in lasso.cycle)
@@ -277,17 +268,8 @@ def classify_finite(lts: AugmentedLTS, prefix: PathPrefix, assumption: Assumptio
     outs = lts.outgoing(last, reactive)
     if assumption.kind in ("P", "Just"):
         return not outs
-    if assumption.kind == "SWI":
-        return not any(t.instr for t in outs)
     ts = resolve_tasks(lts, assumption)
     return not any(t.id in ts.containing for t in outs)
-
-
-def _all_instructions(lts: AugmentedLTS) -> list[str]:
-    instrs = lts.instructions()
-    if not instrs:
-        raise AnnotationError("system carries no instruction annotations")
-    return instrs
 
 
 # ---------------------------------------------------------------------------

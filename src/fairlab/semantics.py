@@ -164,13 +164,10 @@ class ExploredTransition:
 class ExplorationReport:
     """Breadth-first closure of step from the root, possibly truncated."""
 
-    spec: ProcessSpec
     states: list[ExploredState]
     transitions: list[ExploredTransition]
     initial: str
     truncated: bool
-    state_cap: int
-    depth_cap: int
 
 
 def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> ExplorationReport:
@@ -228,5 +225,4 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
         frontier = next_frontier
     if len(expanded) < len(states):
         truncated = True
-    return ExplorationReport(spec, states, transitions, root_id, truncated,
-                             state_cap, depth_cap)
+    return ExplorationReport(states, transitions, root_id, truncated)

@@ -171,11 +171,6 @@ def iter_prefixes(e: Expr):
     return (n for n, _ in walk(e) if isinstance(n, Prefix))
 
 
-def all_names(e: Expr) -> set[str]:
-    """n(E): instruction names of all action occurrences in E."""
-    return {p.name for p in iter_prefixes(e)}
-
-
 def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.x}
@@ -224,16 +219,31 @@ def naming_violation(e: Expr) -> tuple[str, Par | None] | None:
     whose arms share it (None if it occurs twice unguarded); None if e is
     well-named.  The unguarded occurrences of every extended subexpression
     are a sub-multiset of those of a guard root -- e, a prefix body or a fix
-    term of a group in e -- so only the guard roots are checked."""
+    term of a group in e -- so only the guard roots are checked.  The arms'
+    name sets are built bottom-up, in reverse walk order, each merged into
+    the larger: O(n log n)."""
+    nodes = [n for n, _ in walk(e)]
+    clash, stack = None, []
+    for n in reversed(nodes):
+        k = len(n.spec.bindings) if isinstance(n, Fix) else len(children(n))
+        arms = sorted((stack.pop() for _ in range(k)), key=len)
+        names = arms.pop() if arms else set()
+        if isinstance(n, Par) and (shared := names & arms[0]):
+            clash = min(shared), n  # last found is first in walk order
+        for other in arms:
+            names |= other
+        if isinstance(n, Prefix):
+            names.add(n.name)
+        stack.append(names)
+    if clash is not None:
+        return clash
     roots, groups = [e], set()
-    for n, _ in walk(e):
+    for n in nodes:
         if isinstance(n, Prefix):
             roots.append(n.body)
         elif isinstance(n, Fix) and id(n.spec) not in groups:
             groups.add(id(n.spec))
             roots += [Fix(v, n.spec) for v in n.spec.domain()]
-        elif isinstance(n, Par) and (shared := all_names(n.left) & all_names(n.right)):
-            return min(shared), n
     for root in roots:
         names = _unguarded(root)[0]
         if len(names) != len(set(names)):
@@ -308,7 +318,6 @@ class ProcessSpec:
     name_table: dict[str, tuple[Span | None, ActionLabel]]
     cmp_map: dict[str, ComponentPath]
     nonblocking: frozenset[str] = frozenset()  # label bases declared non-blocking
-    source: str = ""
 
     def cmp_of(self, instruction: str) -> ComponentPath:
         try:

@@ -10,11 +10,22 @@ from __future__ import annotations
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, Task, TaskSet,
                   read_json, read_tasks)
 
-NOTIONS = ("A", "T", "I", "Z", "C", "G")
 
-
-def _path_name(path: str) -> str:
-    return path if path else "root"
+# notion -> (the annotation it reads, if any, and its name in errors; the
+# (task name, transition id) pairs of a list of transitions)
+_TABLE = {
+    "A": (None, None, lambda ts: ((f"A:{t.label}", t.id) for t in ts)),
+    "T": (None, None, lambda ts: ((f"T:{t.id}", t.id) for t in ts)),
+    "I": ("instr", "instruction", lambda ts: ((f"I:{i}", t.id) for t in ts for i in t.instr)),
+    "Z": ("instr", "instruction",
+          lambda ts: (("Z:{" + ",".join(sorted(t.instr)) + "}", t.id) for t in ts)),
+    "C": ("comp", "component",
+          lambda ts: ((f"C:{c or 'root'}", t.id) for t in ts for c in t.comp)),
+    "G": ("comp", "component",
+          lambda ts: (("G:{" + ",".join(sorted(c or "root" for c in t.comp)) + "}", t.id)
+                      for t in ts)),
+}
+NOTIONS = tuple(_TABLE)
 
 
 def extract_tasks(lts: AugmentedLTS, notion: str) -> TaskSet:
@@ -29,34 +40,12 @@ def extract_tasks(lts: AugmentedLTS, notion: str) -> TaskSet:
 
 
 def _extract(lts: AugmentedLTS, notion: str) -> TaskSet:
+    needs, what, pairs = _TABLE[notion]
+    if needs and any(getattr(t, needs) is None for t in lts.transitions):
+        raise AnnotationError(f"notion {notion} needs {what} annotations")
     buckets: dict[str, set[str]] = {}
-
-    def put(name: str, tid: str) -> None:
+    for name, tid in pairs(lts.transitions):
         buckets.setdefault(name, set()).add(tid)
-
-    for t in lts.transitions:
-        if notion == "A":
-            put(f"A:{t.label}", t.id)
-        elif notion == "T":
-            put(f"T:{t.id}", t.id)
-        elif notion == "I":
-            if t.instr is None:
-                raise AnnotationError("notion I needs instruction annotations")
-            for i in t.instr:
-                put(f"I:{i}", t.id)
-        elif notion == "Z":
-            if t.instr is None:
-                raise AnnotationError("notion Z needs instruction annotations")
-            put("Z:{" + ",".join(sorted(t.instr)) + "}", t.id)
-        elif notion == "C":
-            if t.comp is None:
-                raise AnnotationError("notion C needs component annotations")
-            for c in t.comp:
-                put(f"C:{_path_name(c)}", t.id)
-        elif notion == "G":
-            if t.comp is None:
-                raise AnnotationError("notion G needs component annotations")
-            put("G:{" + ",".join(sorted(_path_name(c) for c in t.comp)) + "}", t.id)
     return TaskSet(notion, tuple(Task(name, frozenset(members))
                                  for name, members in sorted(buckets.items())))
 

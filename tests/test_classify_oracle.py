@@ -10,11 +10,18 @@ walks the cycle's states in cycle order, as the classifier does; the scan
 it copies walked them as a frozenset, whose order (and so which
 AnnotationError a partially annotated system raised first, if any)
 depended on string hashing.
+
+The SWI oracle scans the instructions one by one.  Like notion I, it needs
+an instruction set on every transition; unlike S:I, it asks whether each
+instruction S:I would owe is requested at every cycle state.  A component
+absent from a state requests nothing there, but a system that cannot say
+what is requested (not of ccs origin) raises, as the classifier does.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from fairlab.corpus import build_all
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
@@ -42,12 +49,14 @@ def _direct_requested(lts, instruction, state):
     return any(instruction in s.instr for s in step(comp))
 
 
-def _direct_requested_quiet(lts, instruction, state):
+def _direct_requested_if_present(lts, instruction, state):
+    if lts.origin != "ccs":
+        raise AnnotationError("instruction projection needs a ccs-origin system")
     try:
-        if lts.origin != "ccs":
-            raise AnnotationError("instruction projection needs a ccs-origin system")
         return _direct_requested(lts, instruction, state)
-    except AnnotationError:
+    except AnnotationError as exc:
+        if " absent in state " not in str(exc):
+            raise
         return False
 
 
@@ -108,14 +117,12 @@ def _oracle_lasso(lts, lasso, assumption):
     if assumption.kind == "Just":
         return _just_lasso(lts, lasso, reactive)
     if assumption.kind == "SWI":
-        instrs = lts.instructions()
-        if not instrs:
-            raise AnnotationError("system carries no instruction annotations")
-        for i in instrs:
-            if any(i in lts.instr_of(t) for t in lasso.cycle):
+        _needs_instr(lts)
+        for i in lts.instructions():
+            if (any(i in lts.transition(u).instr for u in lasso.cycle)
+                    or not any(_instr_enabled(lts, i, s, reactive) for s in cyc_states)):
                 continue
-            if (all(_direct_requested_quiet(lts, i, s) for s in cyc_states)
-                    and any(_instr_enabled(lts, i, s, reactive) for s in cyc_states)):
+            if all(_direct_requested_if_present(lts, i, s) for s in cyc_states):
                 return False
         return True
     for task in resolve_tasks(lts, assumption).tasks:
@@ -132,12 +139,18 @@ def _oracle_lasso(lts, lasso, assumption):
     return True
 
 
+def _needs_instr(lts):
+    if any(t.instr is None for t in lts.transitions):
+        raise AnnotationError("notion I needs instruction annotations")
+
+
 def _oracle_finite(lts, prefix, assumption):
     prefix.validate(lts)
     last = prefix.end(lts)
     if assumption.kind == "Just":
         return not _moves(lts, last, assumption.reactive)
     if assumption.kind == "SWI":
+        _needs_instr(lts)
         return not any(t.instr for t in _moves(lts, last, assumption.reactive))
     return not any(_enabled(lts, task, last, assumption.reactive)
                    for task in resolve_tasks(lts, assumption).tasks)
@@ -171,21 +184,40 @@ def _rooted_lassos(lts, stems):
             for start, steps in walks[entry][:stems]]
 
 
+_NO_INSTR = "AnnotationError: notion I needs instruction annotations"
+
+
 def _compare(lts, assumptions, tally, stems=None):
+    """Both classifiers on every rooted lasso and every one-state prefix;
+    tallies the outcomes, and SWI's by system kind and path kind in
+    `tally["SWI"]`."""
+    partial = any(t.instr is None for t in lts.transitions)
+    kind = "partial" if partial else lts.origin
+
+    def swi(a, path, got):
+        if a.kind == "SWI":
+            assert got == _NO_INSTR or not partial, str(a)
+            tally["SWI"][kind, path, got] += 1
+
     for lasso in _rooted_lassos(lts, stems):
         for a in assumptions:
             got = _outcome(classify_lasso, lts, lasso, a)
             assert got == _outcome(_oracle_lasso, lts, lasso, a), (lasso, str(a))
             tally[got if isinstance(got, bool) else "error"] += 1
+            swi(a, "lasso", got)
     for sid in lts.state_ids():
         for a in assumptions:
             got = _outcome(classify_finite, lts, PathPrefix(sid), a)
             assert got == _outcome(_oracle_finite, lts, PathPrefix(sid), a), (sid, str(a))
             tally["finite"] += 1
+            swi(a, "finite", got)
+
+
+_NOT_CCS = "AnnotationError: instruction projection needs a ccs-origin system"
 
 
 def test_classifier_matches_per_task_scan_on_corpus():
-    tally = {True: 0, False: 0, "error": 0, "finite": 0}
+    tally = {True: 0, False: 0, "error": 0, "finite": 0, "SWI": Counter()}
     systems = 0
     for built in build_all():
         lts = built.lts
@@ -196,6 +228,16 @@ def test_classifier_matches_per_task_scan_on_corpus():
     assert systems > 20
     assert tally[True] > 1000 and tally[False] > 1000 and tally["finite"] > 1000
     assert tally["error"] > 0  # I/Z/C/G on systems without instr/comp
+    swi = tally["SWI"]
+    assert swi["ccs", "lasso", True] > 300 and swi["ccs", "lasso", False] > 200
+    assert swi["ccs", "finite", True] > 30 and swi["ccs", "finite", False] > 50
+    # the mutex and prob-notagef files lack instr on some transitions
+    assert swi["partial", "lasso", _NO_INSTR] > 20 and swi["partial", "finite", _NO_INSTR] > 20
+    # ex-13.1 carries instr but is handwritten: each of its cycles leaves an
+    # instruction S:I would owe, whose requested-ness cannot be read
+    assert swi["handwritten", "lasso", _NOT_CCS] > 2000
+    assert swi["handwritten", "finite", False] > 10
+    assert len(swi) == 8
 
 
 def _random_system(rng, instr_missing, comp_missing) -> AugmentedLTS:
@@ -216,7 +258,7 @@ def _random_system(rng, instr_missing, comp_missing) -> AugmentedLTS:
 
 def test_classifier_matches_per_task_scan_on_random_systems():
     rng = random.Random(1810)
-    tally = {True: 0, False: 0, "error": 0, "finite": 0}
+    tally = {True: 0, False: 0, "error": 0, "finite": 0, "SWI": Counter()}
     for instr_missing, comp_missing in ((0, 0), (0.3, 0), (0, 0.3), (0.3, 0.3), (1, 1)):
         for _ in range(25):
             lts = _random_system(rng, instr_missing, comp_missing)
@@ -227,6 +269,12 @@ def test_classifier_matches_per_task_scan_on_random_systems():
             # only justness looks at the stem, so one stem per cycle will do
             _compare(lts, _assumptions(lts, (custom,)), tally, stems=1)
     assert tally[True] > 1000 and tally[False] > 1000 and tally["error"] > 1000
+    swi = tally["SWI"]
+    assert swi["partial", "lasso", _NO_INSTR] > 2000 and swi["partial", "finite", _NO_INSTR] > 200
+    # fully annotated but handwritten: fair where S:I owes nothing
+    assert swi["handwritten", "lasso", True] > 1000 and swi["handwritten", "lasso", _NOT_CCS] > 500
+    assert swi["handwritten", "finite", True] > 50 and swi["handwritten", "finite", False] > 50
+    assert len(swi) == 6
 
 
 def _grid(n):

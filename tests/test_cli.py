@@ -17,9 +17,9 @@ from hypothesis import given, strategies as st
 
 from fairlab.cli import main
 from fairlab.lts import load_lts
-from fairlab.paths import Assumption, PathPrefix
+from fairlab.paths import Assumption, Lasso, PathPrefix
 from fairlab.tasks import NOTIONS
-from fairlab.verify import liveness
+from fairlab.verify import liveness, simple_cycles_at
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "fairlab" / "corpus_data"
@@ -391,6 +391,20 @@ def test_custom_tasks_apply_to_j_w_s_only(capsys):
     assert json.loads(capsys.readouterr().out)["assumption"] == "S:custom,reactive"
 
 
+def test_swi_errors_where_it_cannot_judge(tmp_path, capsys):
+    # prob-notagef has no instr: SWI needs the instruction tasks, so s0's
+    # empty path is not called a complete run
+    assert main(["liveness", str(DATA / "prob-notagef.json"), "--goal", "win",
+                 "--assume", "SWI"]) == 1
+    assert _one_line_error(capsys) == "error: notion I needs instruction annotations"
+    # ex-13.1 is handwritten: what its components request is unknown
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"start": "s0", "cycle": ["tyc0"]}))
+    assert main(["classify", str(DATA / "ex-13.1.json"), str(lasso), "--assume", "SWI"]) == 1
+    assert _one_line_error(capsys) == ("error: instruction projection needs a "
+                                       "ccs-origin system")
+
+
 def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys):
     mutex, counters = str(DATA / "ex-4.2-mutex-mem.json"), str(DATA / "ex-11.2-counters.json")
     hierarchy = ["hierarchy", str(_ccs2lts(tmp_path, "ex-5.6.ccs")),
@@ -544,6 +558,17 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
             argvs += [["liveness", str(DATA / name), "--goal", goal, "--assume", a]
                       for a in ("P", "just", "J:T", "W:I", "S:Z", "SWI", "ST",
                                 "just,reactive")]
+    clerk = tmp_path / "clerk.json"
+    assert main(["ccs2lts", str(DATA / "ex-7.1-clerk.ccs"), str(clerk)]) == 0
+    clerk_lts = load_lts(clerk.read_text())
+    clerk_lasso = tmp_path / "clerk-lasso.json"
+    clerk_lasso.write_text(json.dumps(Lasso(
+        clerk_lts.initial[0], (), simple_cycles_at(clerk_lts, clerk_lts.initial[0], 4)[0])
+        .to_json()))
+    argvs += [["classify", str(clerk), str(clerk_lasso), "--assume", a]
+              for a in ("SWI", "SWI,reactive")]
+    argvs += [["tasks", str(path), "--notion", y]
+              for path in (clerk, DATA / "ex-13.1.json") for y in ("I", "C")]
     argvs.append(["classify", str(repro), str(lasso), "--assume", "just"])
     runs = []
     for seed in ("0", "4"):

@@ -139,8 +139,7 @@ def _oracle_explore(spec: ProcessSpec, state_cap: int = 512,
         frontier = next_frontier
     if len(expanded) < len(states):
         truncated = True
-    return ExplorationReport(spec, states, transitions, root_id, truncated,
-                             state_cap, depth_cap)
+    return ExplorationReport(states, transitions, root_id, truncated)
 
 
 def _printed(steps: list[Step]) -> list[tuple]:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from fairlab.corpus import build_all, t_by
-from fairlab.lts import Task, from_exploration, requested
+from fairlab.labels import parse_label
+from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, Transition,
+                         from_exploration, load_lts, named_goal, requested)
 from fairlab.parser import parse_ccs
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
                            classify_lasso, enabled, enabled_during,
@@ -15,6 +18,9 @@ from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
                            prefix_certificate)
 from fairlab.semantics import explore
 from fairlab.tasks import extract_tasks
+from fairlab.verify import Bounds, hierarchy_check, liveness, rooted_walks, simple_cycles_at
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "fairlab" / "corpus_data"
 
 
 def _built(pattern):
@@ -179,6 +185,57 @@ def test_swi_chain_on_ccs_systems():
                 assert (not s_i) or swi, (built.entry.id, lasso)
                 assert (not swi) or w_i, (built.entry.id, lasso)
                 assert (not swi) or s_c, (built.entry.id, lasso)
+
+
+def test_swi_needs_an_instruction_set_on_every_transition():
+    # these files carry no instr: SWI reads the notion-I tasks and so raises
+    # as S:I does, instead of calling prob-notagef's empty path at s0 complete
+    for name, goal in (("prob-notagef.json", "win"), ("ex-4.2-mutex-free.json", "crit"),
+                       ("ex-4.2-mutex-mem.json", "crit")):
+        lts = load_lts((DATA / name).read_text())
+        for reactive in (False, True):
+            for a in (Assumption("SWI", reactive=reactive), Assumption("S", "I", reactive=reactive)):
+                with pytest.raises(AnnotationError,
+                                   match="^notion I needs instruction annotations$"):
+                    liveness(lts, named_goal(lts, goal), a)
+    lts = load_lts((DATA / "prob-notagef.json").read_text())
+    with pytest.raises(AnnotationError, match="^notion I needs instruction annotations$"):
+        classify_finite(lts, PathPrefix("s0"), Assumption("SWI"))
+
+
+def test_swi_with_empty_instruction_sets_owes_nothing():
+    # no transition names an instruction, so there is no I-task: every lasso
+    # is SWI-fair, as it is S:I-fair, and the S:I -> SWI arrow is checked
+    a = parse_label("a")
+    lts = AugmentedLTS([State("s0", None), State("s1", None)],
+                       [Transition("t0", "s0", "s1", a, frozenset(), frozenset({"L"}), True),
+                        Transition("t1", "s1", "s0", a, frozenset(), frozenset({"L"}), True),
+                        Transition("t2", "s0", "s0", a, frozenset(), frozenset({"R"}), True)],
+                       ["s0"])
+    for lasso in (Lasso("s0", (), ("t2",)), Lasso("s0", ("t0",), ("t1", "t2", "t0"))):
+        assert classify_lasso(lts, lasso, Assumption("SWI"))
+        assert classify_lasso(lts, lasso, Assumption("S", "I"))
+    assert classify_finite(lts, PathPrefix("s1"), Assumption("SWI"))
+    report = hierarchy_check(lts, Assumption("S", "I"), Assumption("SWI"), Bounds(2, 3))
+    assert not report.skipped and report.checked > 0 and not report.violations
+
+
+def test_swi_does_not_guess_what_a_handwritten_system_requests():
+    # ex-13.1 carries instr and comp but no expressions, so nothing says
+    # which instructions are requested: SWI raises where it must ask
+    lts = build_all("ex-13.1-relabel-ring")[0].lts
+    with pytest.raises(AnnotationError, match="^instruction projection needs a ccs-origin system$"):
+        classify_lasso(lts, Lasso("s0", (), ("tyc0",)), Assumption("SWI"))
+    walks = rooted_walks(lts, 3)
+    lassos = [Lasso(start, steps, cycle) for entry in sorted(walks)
+              for cycle in simple_cycles_at(lts, entry, 4) for start, steps in walks[entry]]
+    assert len(lassos) > 256
+    for lasso in lassos:  # each cycle leaves an instruction S:I would owe
+        with pytest.raises(AnnotationError, match="needs a ccs-origin system"):
+            classify_lasso(lts, lasso, Assumption("SWI"))
+    # an S:I-fair cycle owes nothing, so the S:I -> SWI check never asks
+    report = hierarchy_check(lts, Assumption("S", "I"), Assumption("SWI"), Bounds(5, 6))
+    assert report.checked == 249_984 and not report.skipped and not report.violations
 
 
 def _unit_lassos(lts, cap: int = 400) -> list[Lasso]:

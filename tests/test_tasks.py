@@ -3,13 +3,95 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from fairlab.lts import SchemaError, from_exploration
+from fairlab.corpus import build_all
+from fairlab.labels import parse_label
+from fairlab.lts import (AnnotationError, AugmentedLTS, SchemaError, State, Task, TaskSet,
+                         Transition, from_exploration)
 from fairlab.parser import parse_ccs
 from fairlab.semantics import explore
-from fairlab.tasks import extract_tasks, load_custom_tasks, with_progress_task
+from fairlab.tasks import NOTIONS, extract_tasks, load_custom_tasks, with_progress_task
+
+
+def _oracle_extract(lts, notion):
+    """Task extraction as it was before one table described every notion:
+    one branch per notion, met by each transition in turn."""
+    def path_name(path):
+        return path if path else "root"
+
+    buckets: dict[str, set[str]] = {}
+
+    def put(name, tid):
+        buckets.setdefault(name, set()).add(tid)
+
+    for t in lts.transitions:
+        if notion == "A":
+            put(f"A:{t.label}", t.id)
+        elif notion == "T":
+            put(f"T:{t.id}", t.id)
+        elif notion == "I":
+            if t.instr is None:
+                raise AnnotationError("notion I needs instruction annotations")
+            for i in t.instr:
+                put(f"I:{i}", t.id)
+        elif notion == "Z":
+            if t.instr is None:
+                raise AnnotationError("notion Z needs instruction annotations")
+            put("Z:{" + ",".join(sorted(t.instr)) + "}", t.id)
+        elif notion == "C":
+            if t.comp is None:
+                raise AnnotationError("notion C needs component annotations")
+            for c in t.comp:
+                put(f"C:{path_name(c)}", t.id)
+        elif notion == "G":
+            if t.comp is None:
+                raise AnnotationError("notion G needs component annotations")
+            put("G:{" + ",".join(sorted(path_name(c) for c in t.comp)) + "}", t.id)
+    return TaskSet(notion, tuple(Task(name, frozenset(members))
+                                 for name, members in sorted(buckets.items())))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AnnotationError as exc:
+        return f"AnnotationError: {exc}"
+
+
+def _random_partly_annotated(rng) -> AugmentedLTS:
+    """Up to 8 transitions; each instruction or component set is missing
+    with probability 1/10, empty sometimes, and may name the root path."""
+    n = rng.randint(1, 4)
+    transitions = [Transition(
+        f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
+        parse_label(rng.choice(["a", "b", "'a", "tau", "b#2"])),
+        None if rng.random() < 0.1 else frozenset(rng.sample(["i1", "i2", "i3"],
+                                                             rng.randint(0, 2))),
+        None if rng.random() < 0.1 else frozenset(rng.sample(["", "L", "R", "LR"],
+                                                             rng.randint(0, 2))),
+        rng.random() < 0.5) for k in range(rng.randint(0, 8))]
+    return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"])
+
+
+def test_extract_tasks_matches_the_per_notion_branches():
+    systems = [b.lts for b in build_all()]
+    systems += [from_exploration(explore(parse_ccs(
+        "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"))) for k in (4, 6)]
+    systems += [from_exploration(explore(parse_ccs(
+        " | ".join(f"X{i}" for i in range(n)) + " where "
+        + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n))))) for n in (3, 4)]
+    rng = random.Random(1810_07414)
+    systems += [_random_partly_annotated(rng) for _ in range(400)]
+    tally = {"tasks": 0, "error": 0}
+    for lts in systems:
+        for notion in NOTIONS:
+            got = _outcome(extract_tasks, lts, notion)
+            assert got == _outcome(_oracle_extract, lts, notion), notion
+            tally["error" if isinstance(got, str) else "tasks"] += 1
+    assert tally["tasks"] > 1500 and tally["error"] > 400
 
 
 def _running_example():

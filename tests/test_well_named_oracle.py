@@ -5,11 +5,17 @@ one pass over the guard roots: it enumerated every extended subexpression
 of a term, deduplicated them by their printed text, and collected the
 unguarded instruction names of each one.  It is copied below as it was.
 On every input both checks must give the same answer.
+
+A second oracle is `syntax.naming_violation` as it was before the name sets
+of parallel arms were built bottom-up: it computed both arms' names afresh
+at every `|`, which is quadratic in the number of parallel components.  It
+must report the same name and the same `|` on every input.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 from hypothesis import given, strategies as st
 
@@ -18,10 +24,16 @@ from fairlab.labels import parse_label
 from fairlab.parser import parse_ccs, parse_expression
 from fairlab.semantics import explore, step
 from fairlab.syntax import (Choice, Expr, Fix, Nil, Par, Prefix, RecSpec, Relabel,
-                            Restrict, Var, all_names, children, print_expr, well_named)
+                            Restrict, Var, _unguarded, children, iter_prefixes,
+                            naming_violation, print_expr, walk, well_named)
 
 
 # -- oracle -----------------------------------------------------------------
+
+def _all_names(e: Expr) -> set[str]:
+    """n(E): instruction names of all action occurrences in E."""
+    return {p.name for p in iter_prefixes(e)}
+
 
 def _oracle_unguarded_var_names(e: Expr) -> set[str]:
     """Process variables with an unguarded occurrence in e (prefix bodies skipped)."""
@@ -97,9 +109,36 @@ def _oracle_well_named(e: Expr) -> bool:
         names = _oracle_unguarded_prefix_names(sub)
         if len(names) != len(set(names)):
             return False
-        if isinstance(sub, Par) and all_names(sub.left) & all_names(sub.right):
+        if isinstance(sub, Par) and _all_names(sub.left) & _all_names(sub.right):
             return False
     return True
+
+
+def _oracle_naming_violation(e: Expr) -> tuple[str, Par | None] | None:
+    roots, groups = [e], set()
+    for n, _ in walk(e):
+        if isinstance(n, Prefix):
+            roots.append(n.body)
+        elif isinstance(n, Fix) and id(n.spec) not in groups:
+            groups.add(id(n.spec))
+            roots += [Fix(v, n.spec) for v in n.spec.domain()]
+        elif isinstance(n, Par) and (shared := _all_names(n.left) & _all_names(n.right)):
+            return min(shared), n
+    for root in roots:
+        names = _unguarded(root)[0]
+        if len(names) != len(set(names)):
+            return next(x for k, x in enumerate(names) if x in names[:k]), None
+    return None
+
+
+def _same_violation(e: Expr) -> tuple[str, Par | None] | None:
+    """naming_violation(e), asserted to name the same instruction and the
+    very same `|` node as the quadratic oracle."""
+    got, want = naming_violation(e), _oracle_naming_violation(e)
+    assert (got is None) == (want is None), print_expr(e)
+    if got is not None:
+        assert got[0] == want[0] and got[1] is want[1], print_expr(e)
+    return got
 
 
 def _agree(terms) -> tuple[int, int]:
@@ -108,6 +147,7 @@ def _agree(terms) -> tuple[int, int]:
     for e in terms:
         want = _oracle_well_named(e)
         assert well_named(e) == want, print_expr(e)
+        _same_violation(e)
         count += 1
         ill += not want
     return count, ill
@@ -241,3 +281,78 @@ def test_well_named_matches_the_oracle_on_explicit_names():
 @given(_drawn_term(4, ()))
 def test_well_named_matches_the_oracle_on_drawn_terms(e):
     _agree([e])
+
+
+def _par_of(arms, shape):
+    """The parallel composition of the arms, nested to the left (as the
+    parser builds `a | b | c`), to the right, or balanced."""
+    if shape == "left":
+        e = arms[0]
+        for a in arms[1:]:
+            e = Par(e, a)
+        return e
+    if shape == "right":
+        e = arms[-1]
+        for a in reversed(arms[:-1]):
+            e = Par(a, e)
+        return e
+    if len(arms) == 1:
+        return arms[0]
+    mid = len(arms) // 2
+    return Par(_par_of(arms[:mid], shape), _par_of(arms[mid:], shape))
+
+
+def test_naming_violation_matches_the_oracle_on_wide_terms():
+    rng = random.Random(414)
+    clashes = 0
+    for n in (1, 2, 3, 50, 200):
+        for shape in ("left", "right", "balanced"):
+            for _ in range(4):
+                names = [f"a{k}" for k in range(n)]
+                for _ in range(rng.randint(0, 3)):  # some arms share a name
+                    names[rng.randrange(n)] = rng.choice(names)
+                arms = [Prefix(_LABELS[0], x, rng.choice((Nil(), Prefix(_LABELS[2], x + "b", Nil()))))
+                        for x in names]
+                clashes += _same_violation(_par_of(arms, shape)) is not None
+    assert clashes > 10
+
+
+def test_naming_violation_matches_the_oracle_on_nested_terms():
+    rng = random.Random(1810)
+    kinds = {"par": 0, "unguarded": 0, None: 0}
+    for _ in range(300):
+        # parallel compositions under prefixes, choices, wrappers and fix
+        # groups, whose arms may again be wide compositions
+        e = _random_term(rng, 5, [], [0])
+        for _ in range(rng.randint(1, 4)):
+            arms = [_random_term(rng, 3, [], [0]) for _ in range(rng.randint(2, 6))]
+            wide = _par_of(arms, rng.choice(("left", "right", "balanced")))
+            wrap = rng.random()
+            if wrap < 0.3:
+                e = Prefix(_LABELS[1], rng.choice(_POOL), Par(e, wide))
+            elif wrap < 0.6:
+                e = Choice(wide, e)
+            elif wrap < 0.8:
+                e = Restrict(Par(wide, e), "a")
+            else:
+                e = Fix("X", RecSpec((("X", Par(e, wide)), ("Y", wide))))
+        got = _same_violation(e)
+        kinds[got and ("par" if got[1] is not None else "unguarded")] += 1
+    assert kinds["par"] > 150 and kinds["unguarded"] > 0 and kinds[None] > 10
+
+
+def test_naming_violation_prefers_a_shared_name_over_a_repeated_one():
+    # b{m} occurs twice unguarded in the left arm, which also shares n with
+    # the right arm: the '|' is reported, at the outermost clashing one
+    e = parse_expression("(b{m}.0 + b{m}.0 + a{n}.0) | (c{k}.0 | c{k}.0 | a{n}.0)")
+    name, par = naming_violation(e)
+    assert (name, par) == ("n", e) and _oracle_naming_violation(e)[1] is e
+    assert naming_violation(parse_expression("b{m}.0 + b{m}.0 | c.0")) == ("m", None)
+
+
+def test_naming_violation_is_not_quadratic_in_parallel_components():
+    # 20,000 components: the oracle would intersect ~2 * 10^8 names
+    e = _par_of([Prefix(_LABELS[0], f"a{k}", Nil()) for k in range(20_000)], "left")
+    started = time.perf_counter()
+    assert naming_violation(e) is None
+    assert time.perf_counter() - started < 10
