@@ -52,7 +52,10 @@ def _load_config(path: str | None) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise SystemExit2(f"bad config line {line!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("state_cap", "depth_cap"):
+            raise SystemExit2(f"unknown config key {key!r}; known: state_cap, depth_cap")
+        out[key] = value.strip()
     return out
 
 
@@ -241,7 +244,10 @@ def cmd_loopfree(args) -> int:
 def cmd_certify(args) -> int:
     lts = _load_lts_file(args.lts)
     prefix = _path_file(args.prefix, PathPrefix)
-    cert = prefix_certificate(lts, prefix, _taskset(lts, args).get(args.task))
+    tasks = _taskset(lts, args)
+    if args.task not in tasks.names():
+        raise LookupError(f"unknown task {args.task!r} in the {tasks.notion} tasks")
+    cert = prefix_certificate(lts, prefix, tasks.get(args.task))
     print(json.dumps({"task": cert.task, "enabledEverywhere": cert.enabled_everywhere,
                       "occurs": cert.occurs, "length": cert.length}))
     return 0
@@ -336,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="fair-scheduler extension of a path")
     p.add_argument("lts")
-    p.add_argument("--start", default=None)
-    p.add_argument("--prefix", default=None, help="prefix JSON file")
+    origin = p.add_mutually_exclusive_group()
+    origin.add_argument("--start", default=None)
+    origin.add_argument("--prefix", default=None, help="prefix JSON file")
     _taskset_flags(p)
     p.add_argument("--steps", type=int, default=20)
     p.set_defaults(func=cmd_extend)

@@ -13,14 +13,13 @@ instruction name may be attached to a prefix occurrence as ``a{n1}.E``.
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import NamedTuple
 
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
-                     Relabel, Restrict, Span, Var, free_vars, instruction_paths,
-                     naming_violation, print_expr)
+                     Relabel, Restrict, Span, Var, build, copier, depth_guarded, free_vars,
+                     instruction_paths, naming_violation, print_expr, substitute, walk)
 
 
 class ParseError(ValueError):
@@ -286,42 +285,25 @@ class _Parser:
             v = self.next()
             if v.kind != "UIDENT":
                 raise ParseError("expected a process variable", v.span)
+            if any(v.text == w for w, _ in bindings):
+                raise ParseError("duplicate definition in where-clause", v.span)
             self.expect("=")
             bindings.append((v.text, self.parse_expr()))
             if not self.at(","):
                 break
             self.next()
-        if len({v for v, _ in bindings}) != len(bindings):
-            raise ParseError("duplicate definition in where-clause")
         return RecSpec(tuple(bindings))
 
 
 def _close(root: Expr, spec: RecSpec) -> Expr:
-    """Replace each free occurrence of a defined variable by its fix term."""
+    """Replace each free occurrence of a defined variable by its fix term.
+    A group in root that redefines one of them is an error here, though
+    `substitute` keeps it, as `explore` needs."""
     dom = set(spec.domain())
-
-    def sub(e: Expr) -> Expr:
-        if isinstance(e, Var):
-            return Fix(e.x, spec, span=e.span) if e.x in dom else e
-        if isinstance(e, Prefix):
-            return Prefix(e.action, e.name, sub(e.body), span=e.span)
-        if isinstance(e, Choice):
-            return Choice(sub(e.left), sub(e.right), span=e.span)
-        if isinstance(e, Par):
-            return Par(sub(e.left), sub(e.right), span=e.span)
-        if isinstance(e, Restrict):
-            return Restrict(sub(e.body), e.name, span=e.span)
-        if isinstance(e, Relabel):
-            return Relabel(sub(e.body), e.fn, span=e.span)
-        if isinstance(e, Fix):
-            shadowed = dom & set(e.spec.domain())
-            if shadowed:
-                raise ParseError(f"variable {sorted(shadowed)[0]} defined twice")
-            new = RecSpec(tuple((v, sub(b)) for v, b in e.spec.bindings))
-            return Fix(e.var, new, span=e.span)
-        return e
-
-    return sub(root)
+    for n, _ in walk(root):
+        if isinstance(n, Fix) and (shadowed := dom & set(n.spec.domain())):
+            raise ParseError(f"variable {min(shadowed)} defined twice", n.span)
+    return substitute(root, spec, build)
 
 
 def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, ActionLabel]]]:
@@ -338,62 +320,37 @@ def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, Action
     table: dict[str, tuple[Span | None, ActionLabel]] = {}
     counters: dict[str, int] = {}
 
-    def fresh(label: ActionLabel, span: Span | None, explicit: str) -> str:
-        if explicit:
+    def fresh(p: Prefix) -> str:
+        if p.name:
             # duplicates are legal in reparsed states, where a prefix occurs
             # both unfolded and inside its fix group; labels must agree
-            if explicit in table and table[explicit][1] != label:
+            if p.name in table and table[p.name][1] != p.action:
                 raise ParseError(
-                    f"instruction name {explicit!r} reused with a different action", span)
-            table.setdefault(explicit, (span, label))
-            return explicit
-        base = str(label).lstrip("'").replace("#", "_")
+                    f"instruction name {p.name!r} reused with a different action", p.span)
+            table.setdefault(p.name, (p.span, p.action))
+            return p.name
+        base = str(p.action).lstrip("'").replace("#", "_")
         counters[base] = counters.get(base, 0) + 1
         name = f"{base}@{counters[base]}"
         while name in table:
             counters[base] += 1
             name = f"{base}@{counters[base]}"
-        table[name] = (span, label)
+        table[name] = (p.span, p.action)
         return name
 
-    def walk(e: Expr) -> Expr:
-        if isinstance(e, Prefix):
-            name = fresh(e.action, e.span, e.name)
-            return Prefix(e.action, name, walk(e.body), span=e.span)
-        if isinstance(e, Choice):
-            return Choice(walk(e.left), walk(e.right), span=e.span)
-        if isinstance(e, Par):
-            return Par(walk(e.left), walk(e.right), span=e.span)
-        if isinstance(e, Restrict):
-            return Restrict(walk(e.body), e.name, span=e.span)
-        if isinstance(e, Relabel):
-            return Relabel(walk(e.body), e.fn, span=e.span)
-        if isinstance(e, Fix):
-            dom = set(e.spec.domain())
-            reach = {e.var}
-            frontier = [e.var]
-            while frontier:
-                for w in sorted(free_vars(e.spec.body(frontier.pop())) & dom):
-                    if w not in reach:
-                        reach.add(w)
-                        frontier.append(w)
-            kept = tuple((v, walk(b)) for v, b in e.spec.bindings if v in reach)
-            return Fix(e.var, RecSpec(kept), span=e.span)
-        return e
+    def leaf(e: Expr) -> Expr:
+        if isinstance(e, Var):
+            return e
+        dom, reach, frontier = set(e.spec.domain()), {e.var}, [e.var]
+        for v in frontier:  # grows as bodies are reached
+            more = free_vars(e.spec.body(v)) & dom - reach
+            reach |= more
+            frontier += more
+        kept = tuple((v, copy(b)) for v, b in e.spec.bindings if v in reach)
+        return Fix(e.var, RecSpec(kept), span=e.span)
 
-    return walk(root), table
-
-
-def _depth_guarded(parse):
-    """Report input nested past the interpreter's recursion limit (the parser
-    and its passes recurse per prefix, operand or group) as a ParseError."""
-    @functools.wraps(parse)
-    def guarded(text: str):
-        try:
-            return parse(text)
-        except RecursionError:
-            raise ParseError("nesting too deep") from None
-    return guarded
+    copy = copier(build, leaf, fresh)
+    return copy(root), table
 
 
 def _parse_root(p: _Parser) -> Expr:
@@ -408,7 +365,7 @@ def _parse_root(p: _Parser) -> Expr:
     return e
 
 
-@_depth_guarded
+@depth_guarded(ParseError)
 def parse_expression(text: str) -> Expr:
     """Parse one (possibly open) expression and name its prefixes.
 
@@ -419,7 +376,7 @@ def parse_expression(text: str) -> Expr:
     return named
 
 
-@_depth_guarded
+@depth_guarded(ParseError)
 def parse_ccs(text: str) -> ProcessSpec:
     """Parse a complete specification into a named, closed ProcessSpec."""
     p = _Parser(_tokenize(text))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .labels import ActionLabel, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
-                     Relabel, Restrict, Var, print_expr)
+                     Relabel, Restrict, Var, depth_guarded, print_expr, substitute)
 
 
 class SemanticsError(ValueError):
@@ -31,12 +31,12 @@ class Step:
 
 
 def _interner():
-    """A fresh intern table's constructor mk(cls, *fields).  It keys a node by
-    class, Expr/RecSpec fields (and binding terms) by identity and other
-    fields by value, so equal terms built by mk are one node."""
+    """A fresh intern table's constructor mk(cls, *fields, span=...), which
+    drops spans.  It keys a node by class, Expr/RecSpec fields (and binding
+    terms) by identity and other fields by value: equal terms are one node."""
     table: dict[tuple, object] = {}
 
-    def mk(cls, *fields):
+    def mk(cls, *fields, span=None):
         key = (cls, *[id(f) if isinstance(f, (Expr, RecSpec))
                       else tuple((v, id(b)) for v, b in f) if isinstance(f, tuple)
                       else f for f in fields])
@@ -48,33 +48,7 @@ def _interner():
     return mk
 
 
-def _subst_fix(body: Expr, spec: RecSpec, mk) -> Expr:
-    """Replace the host group's variables by their fix terms (one unfolding),
-    building through mk.  With an empty group this interns a whole term."""
-    dom = set(spec.domain())
-
-    def sub(e: Expr) -> Expr:
-        if isinstance(e, Var):
-            return mk(Fix, e.x, spec) if e.x in dom else mk(Var, e.x)
-        if isinstance(e, Prefix):
-            return mk(Prefix, e.action, e.name, sub(e.body))
-        if isinstance(e, Choice):
-            return mk(Choice, sub(e.left), sub(e.right))
-        if isinstance(e, Par):
-            return mk(Par, sub(e.left), sub(e.right))
-        if isinstance(e, Restrict):
-            return mk(Restrict, sub(e.body), e.name)
-        if isinstance(e, Relabel):
-            return mk(Relabel, sub(e.body), e.fn)
-        if isinstance(e, Fix):
-            if dom & set(e.spec.domain()):
-                return e  # inner group shadows; its spec was closed already
-            return mk(Fix, e.var, mk(RecSpec, tuple((v, sub(b)) for v, b in e.spec.bindings)))
-        return mk(type(e))
-
-    return sub(body)
-
-
+@depth_guarded(SemanticsError)
 def step(state: Expr) -> list[Step]:
     """All transitions derivable from a closed expression, deterministically
     ordered by (label, instruction set, target print).  Stuck states give []."""
@@ -135,7 +109,7 @@ def _step(e: Expr, mk, memo: dict[int, list[Step] | None]) -> list[Step]:
         out = [Step(e.fn.apply(s.label), s.instr, mk(Relabel, s.target, e.fn))
                for s in _step(e.body, mk, memo)]
     elif isinstance(e, Fix):
-        out = _step(_subst_fix(e.spec.body(e.var), e.spec, mk), mk, memo)
+        out = _step(substitute(e.spec.body(e.var), e.spec, mk), mk, memo)
     else:
         raise TypeError(f"unknown node {e!r}")
     memo[id(e)] = out
@@ -170,6 +144,7 @@ class ExplorationReport:
     truncated: bool
 
 
+@depth_guarded(SemanticsError)
 def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> ExplorationReport:
     """Explore the reachable state space, telling interned states apart by identity.
 
@@ -180,7 +155,7 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
     mk, memo = _interner(), {}
-    root = _subst_fix(spec.root, RecSpec(()), mk)
+    root = substitute(spec.root, RecSpec(()), mk)
     states: list[ExploredState] = []
     transitions: list[ExploredTransition] = []
     by_node: dict[int, str] = {}  # id of an interned term -> state id

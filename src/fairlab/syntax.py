@@ -11,7 +11,7 @@ its component path, without recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .labels import ActionLabel, RelabelFn
 
@@ -164,6 +164,64 @@ def walk(e: Expr):
             stack += ((n.right, path + "R"), (n.left, path + "L"))
         elif isinstance(n, Fix):
             stack.extend((b, path) for _, b in reversed(n.spec.bindings))
+
+
+def build(cls, *fields, **span):
+    """The plain `make` of `copier`: a new node that keeps its span."""
+    return cls(*fields, **span)
+
+
+def copier(make, leaf, rename=None):
+    """A function copying a term bottom-up, building each node by
+    make(cls, *fields, span=...).  Var and Fix nodes are copied by leaf(node)
+    instead; rename(prefix), if given, names each prefix in textual order.
+    One frame per term level."""
+    def copy(e: Expr) -> Expr:
+        if isinstance(e, Prefix):
+            name = rename(e) if rename else e.name
+            return make(Prefix, e.action, name, copy(e.body), span=e.span)
+        if isinstance(e, (Choice, Par)):
+            return make(type(e), copy(e.left), copy(e.right), span=e.span)
+        if isinstance(e, Restrict):
+            return make(Restrict, copy(e.body), e.name, span=e.span)
+        if isinstance(e, Relabel):
+            return make(Relabel, copy(e.body), e.fn, span=e.span)
+        return leaf(e) if isinstance(e, (Var, Fix)) else make(Nil, span=e.span)
+
+    return copy
+
+
+def substitute(e: Expr, spec: RecSpec, make) -> Expr:
+    """e with every free variable of spec's domain replaced by its fix term,
+    built through make: closes a parsed term, or unfolds a fix term once.
+    An inner group redefining one of the variables is kept as it is; with an
+    empty group this copies e."""
+    dom = set(spec.domain())
+
+    def leaf(n: Expr) -> Expr:
+        if isinstance(n, Var):
+            return make(Fix, n.x, spec, span=n.span) if n.x in dom else make(Var, n.x, span=n.span)
+        if dom & set(n.spec.domain()):
+            return n
+        return make(Fix, n.var, make(RecSpec, tuple((v, copy(b)) for v, b in n.spec.bindings)),
+                    span=n.span)
+
+    copy = copier(make, leaf)
+    return copy(e)
+
+
+def depth_guarded(error: type[Exception]):
+    """Report a term nested past the interpreter's recursion limit (parsing,
+    copying, stepping and printing recurse per level) as error("nesting too deep")."""
+    def guard(fn):
+        @wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except RecursionError:
+                raise error("nesting too deep") from None
+        return guarded
+    return guard
 
 
 def iter_prefixes(e: Expr):

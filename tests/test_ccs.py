@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from importlib import resources
 
 import pytest
@@ -88,6 +89,11 @@ def test_parse_errors():
      "instruction name 'n' occurs twice unguarded at 1:22"),
     ("a{n}.0 | b.0\n  | a{n}.0", "instruction name 'n' occurs on both sides of '|' at 2:3"),
     ("X | X where X = a{n}.X", "instruction name 'n' occurs on both sides of '|' at 1:3"),
+    # a repeated binding at its variable, a redefined variable at the inner
+    # group's fix term
+    ("X where X = a.X, Y = b.Y,\n  X = c.X", "duplicate definition in where-clause at 2:3"),
+    ("(X where X = a.X) where X = b.X", "variable X defined twice at 1:2"),
+    ("c.(Y | (X where X = a.Y)) where Y = b.Y, X = c.X", "variable X defined twice at 1:9"),
 ])
 def test_parse_error_messages_and_positions(src, message):
     with pytest.raises(ParseError) as exc:
@@ -232,6 +238,20 @@ def test_duplicated_group_gets_fresh_copies():
 
 def _ring(k: int) -> str:
     return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
+
+
+@pytest.mark.parametrize("src, states", [
+    (" | ".join(f"a{i}.0" for i in range(899)) + " | X where X = b.X", 1),
+    ("X where X = " + " + ".join(f"a{i}.X" for i in range(900)), 1),
+    (_ring(900), 2),
+], ids=["par", "choice", "prefix"])
+def test_900_levels_parse_check_and_explore(src, states):
+    # parsing, closing, naming and unfolding take one frame per term level;
+    # the root's 900 parallel steps rebuild the spine, so the caps are low
+    assert sys.getrecursionlimit() == 1000
+    spec = parse_ccs(src)
+    assert check_fragment(spec) == []
+    assert len(explore(spec, states, 1).states) == states
 
 
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error():

@@ -305,7 +305,9 @@ def test_ccs2lts_caps_below_1_are_usage_errors(tmp_path, capsys):
 def test_ccs2lts_bad_config_caps_are_usage_errors(tmp_path, capsys):
     config = tmp_path / "fairlab.conf"
     for text, want in (("state_cap = x\n", "config state_cap must be an integer, not 'x'"),
-                       ("depth_cap = 0\n", "depth_cap must be at least 1, got 0")):
+                       ("depth_cap = 0\n", "depth_cap must be at least 1, got 0"),
+                       ("statecap = 2\n",
+                        "unknown config key 'statecap'; known: state_cap, depth_cap")):
         config.write_text(text)
         assert main(["ccs2lts", str(DATA / "ex-5.1.ccs"), str(tmp_path / "out.json"),
                      "--config", str(config)]) == 2, text
@@ -334,7 +336,9 @@ def test_malformed_path_and_task_files_are_one_line_errors(tmp_path, capsys):
     cases += [(["ltl", lts, "--lasso", str(prefix), "--formula", "enabled:L"], "not a lasso"),
               (["extend", lts, "--notion", "T", "--prefix", str(lasso)], "not a finite prefix"),
               (["certify", lts, "--prefix", str(lasso), "--task", "T:l1", "--notion", "T"],
-               "not a finite prefix")]
+               "not a finite prefix"),
+              (["certify", lts, "--prefix", str(prefix), "--task", "nope", "--notion", "T"],
+               "error: unknown task 'nope' in the T tasks")]
     tasks = tmp_path / "tasks.json"
     tasks.write_text(json.dumps({"tasks": [{"name": "L"}]}))
     broken = json.loads((DATA / "ex-4.2-mutex-mem.json").read_text())
@@ -424,7 +428,9 @@ def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys)
              "fairlab extend: argument --steps: invalid int value: 'x'"),
             (hierarchy + ["--bounds", "-1,-2"],
              "fairlab hierarchy: argument --bounds: expected one argument"),
-            (["bogus"], "fairlab: argument command: invalid choice: 'bogus'")):
+            (["bogus"], "fairlab: argument command: invalid choice: 'bogus'"),
+            (["extend", mutex, "--notion", "T", "--start", "init", "--prefix", "p.json"],
+             "fairlab extend: argument --prefix: not allowed with argument --start")):
         assert main(argv) == 2, argv
         assert want in _one_line_error(capsys), argv
     assert main(["extend", "--help"]) == 0

@@ -4,7 +4,11 @@ The oracles are the character loop `_tokenize` and the token-by-token
 `_Parser` that the regex scanner, with its one-token relabellings, and the
 per-call relabelling memo replaced; they are copied as they were, except
 that an index `int` cannot read (such as "²") is a ParseError at its
-position here as in the parser, not a bare ValueError.  On every
+position here as in the parser, not a bare ValueError, and that a
+duplicate definition in a where-clause is reported when its variable is
+read, and it and a variable defined twice at the position the parser
+gives them: the repeated binding's variable, the inner group's fix term.  `_close` is the recursive copy that
+closed parsed terms before `syntax.substitute` took its place.  On every
 input both sides must give the same tokens (a RELABEL token standing for
 "[", the tokens of its interior and "]") or the same error text, and
 `parse_ccs` and `parse_expression` must give equal terms, the same span on
@@ -30,7 +34,7 @@ from fairlab import parser
 from fairlab.corpus import build, corpus_entries
 from fairlab.labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from fairlab.lts import from_exploration
-from fairlab.parser import _KEYWORDS, ParseError, _close
+from fairlab.parser import _KEYWORDS, ParseError
 from fairlab.semantics import explore
 from fairlab.syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
                             Relabel, Restrict, Span, Var, free_vars, walk)
@@ -291,15 +295,43 @@ class _OracleParser:
             v = self.next()
             if v.kind != "UIDENT":
                 raise ParseError("expected a process variable", v.span)
+            if v.text in dict(bindings):
+                raise ParseError("duplicate definition in where-clause", v.span)
             self.expect("=")
             bindings.append((v.text, self.parse_expr()))
             if self.at(","):
                 self.next()
                 continue
             break
-        if len({v for v, _ in bindings}) != len(bindings):
-            raise ParseError("duplicate definition in where-clause")
         return RecSpec(tuple(bindings))
+
+
+def _close(root: Expr, spec: RecSpec) -> Expr:
+    """Replace each free occurrence of a defined variable by its fix term."""
+    dom = set(spec.domain())
+
+    def sub(e: Expr) -> Expr:
+        if isinstance(e, Var):
+            return Fix(e.x, spec, span=e.span) if e.x in dom else e
+        if isinstance(e, Prefix):
+            return Prefix(e.action, e.name, sub(e.body), span=e.span)
+        if isinstance(e, Choice):
+            return Choice(sub(e.left), sub(e.right), span=e.span)
+        if isinstance(e, Par):
+            return Par(sub(e.left), sub(e.right), span=e.span)
+        if isinstance(e, Restrict):
+            return Restrict(sub(e.body), e.name, span=e.span)
+        if isinstance(e, Relabel):
+            return Relabel(sub(e.body), e.fn, span=e.span)
+        if isinstance(e, Fix):
+            shadowed = dom & set(e.spec.domain())
+            if shadowed:
+                raise ParseError(f"variable {sorted(shadowed)[0]} defined twice", e.span)
+            new = RecSpec(tuple((v, sub(b)) for v, b in e.spec.bindings))
+            return Fix(e.var, new, span=e.span)
+        return e
+
+    return sub(root)
 
 
 def _oracle_restrict_groups(e: Expr) -> Expr:
@@ -477,6 +509,11 @@ _EDGES = (
     "X where X = a.(U where U = b.U, V = c.Y), Y = d.Y",
     "X[b#² -> c] where X = b#0.X", "X[b -> c#²] where X = b#0.X",
     "X[b#i -> c#(i+²)] where X = b#0.X",
+    # a repeated binding, at top level and in a nested group; a variable
+    # defined twice, by the root's group and by an outer nested group
+    "X where X = a.X, Y = b.Y,\n  X = c.X", "a.(X where X = b.X, X = c.X)",
+    "X where X = a.X, X = b.X, Y = +",
+    "(X where X = a.X) where X = b.X", "c.((Y | (X where X = a.Y)) where Y = b.Y, X = c.X)",
 )
 
 _PIECES = ("a", "b", "X", "Y", "_u", "tau", "where", "nonblocking", "0", "1", "07",

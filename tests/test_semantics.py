@@ -13,7 +13,7 @@ from fairlab.lts import (AugmentedLTS, State, Transition, from_exploration,
                          validate_side_conditions)
 from fairlab.parser import parse_ccs, parse_expression
 from fairlab.semantics import SemanticsError, explore, step
-from fairlab.syntax import print_expr, well_named
+from fairlab.syntax import Choice, Nil, Prefix, ProcessSpec, print_expr, well_named
 
 
 def _labels(steps):
@@ -81,6 +81,16 @@ def test_unguarded_recursion_is_a_semantics_error(src):
         explore(parse_ccs(src))
     with pytest.raises(SemanticsError, match="unguarded recursion"):
         step(parse_ccs(src).root)
+
+
+def test_terms_nested_past_the_recursion_limit_are_a_semantics_error():
+    # parse_ccs refuses such a term; built directly, it reaches explore and step
+    term = Nil()
+    for k in range(2000):
+        term = Choice(term, Prefix(parse_label("a"), f"a@{k}", Nil()))
+    for run in (lambda: explore(ProcessSpec(term, {}, {})), lambda: step(term)):
+        with pytest.raises(SemanticsError, match="nesting too deep"):
+            run()
 
 
 def test_explore_ex_5_1():
