@@ -8,6 +8,7 @@ identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -23,10 +24,8 @@ from .paths import (Lasso, PathError, PathPrefix, classify_finite, classify_lass
 from .semantics import explore
 from .syntax import Diagnostic, check_fragment
 from .tasks import NOTIONS, extract_tasks, load_custom_tasks, with_progress_task
-from .verify import (Bounds, fair_extend, hierarchy_check, liveness,
+from .verify import (Bounds, UnknownCondition, fair_extend, hierarchy_check, liveness,
                      loopfree_witness, parse_weights, simulate)
-
-DEFAULT_SEED = 0xC0FFEE
 
 
 def _read(path: str) -> str:
@@ -63,8 +62,14 @@ def _load_lts_file(path: str) -> AugmentedLTS:
     return load_lts(_read(path))
 
 
-def _cap(flag: int | None, config: dict[str, str], key: str, default: int) -> int:
-    value = flag if flag is not None else config.get(key, default)
+def _default(fn, name: str):
+    """The default of parameter `name` of library function `fn`."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _cap(flag: int | None, config: dict[str, str], key: str) -> int:
+    """An exploration cap: the flag, else the config file, else `explore`'s."""
+    value = flag if flag is not None else config.get(key, _default(explore, key))
     try:
         value = int(value)
     except ValueError:
@@ -96,15 +101,15 @@ def _seed(args) -> int:
         return args.seed
     env = os.environ.get("FAIRLAB_SEED")
     try:
-        return int(env, 0) if env else DEFAULT_SEED
+        return int(env, 0) if env else _default(simulate, "seed")
     except ValueError:
         raise SystemExit2(f"FAIRLAB_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_ccs2lts(args) -> int:
     config = _load_config(args.config)
-    state_cap = _cap(args.state_cap, config, "state_cap", 512)
-    depth_cap = _cap(args.depth_cap, config, "depth_cap", 256)
+    state_cap = _cap(args.state_cap, config, "state_cap")
+    depth_cap = _cap(args.depth_cap, config, "depth_cap")
     try:
         spec = parse_ccs(_read(args.input))
     except ParseError as exc:
@@ -174,15 +179,18 @@ def cmd_hierarchy(args) -> int:
     lts = _load_lts_file(args.lts)
     stronger = parse_assumption(args.stronger, partial(_task_file, lts))
     weaker = parse_assumption(args.weaker, partial(_task_file, lts))
-    stem, _, cycle = (args.bounds or "5,6").partition(",")
-    try:
-        stem, cycle = int(stem), int(cycle or stem)
-    except ValueError:
-        raise SystemExit2(f"--bounds needs STEM[,CYCLE] integers, not {args.bounds!r}") from None
-    try:
-        bounds = Bounds(stem, cycle)
-    except ValueError as exc:
-        raise SystemExit2(f"--bounds {exc}") from None
+    bounds = Bounds()
+    if args.bounds:
+        stem, _, cycle = args.bounds.partition(",")
+        try:
+            stem, cycle = int(stem), int(cycle or stem)
+        except ValueError:
+            raise SystemExit2(f"--bounds needs STEM[,CYCLE] integers, "
+                              f"not {args.bounds!r}") from None
+        try:
+            bounds = Bounds(stem, cycle)
+        except ValueError as exc:
+            raise SystemExit2(f"--bounds {exc}") from None
     report = hierarchy_check(lts, stronger, weaker, bounds, tuple(args.requires or ()))
     doc = {"stronger": report.stronger, "weaker": report.weaker,
            "checked": report.checked, "skipped": report.skipped,
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stronger", required=True)
     p.add_argument("--weaker", required=True)
     p.add_argument("--bounds", default=None)
-    p.add_argument("--requires", nargs="*", help="side conditions, e.g. (1)")
+    p.add_argument("--requires", nargs="*", help="side condition tags, e.g. (1) (#)")
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("ltl", help="evaluate an LTL formula on a lasso")
@@ -367,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lts")
     p.add_argument("--goal", required=True)
     p.add_argument("--weights", default=None)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--runs", type=int, default=2000)
+    p.add_argument("--horizon", type=int, default=_default(simulate, "horizon"))
+    p.add_argument("--runs", type=int, default=_default(simulate, "runs"))
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -404,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, UnknownCondition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, ValueError, KeyError, LookupError) as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .labels import ActionLabel, parse_label
 from .parser import parse_expression
@@ -432,140 +432,122 @@ def _component_fires(lts: AugmentedLTS, state: str, path: str) -> frozenset[str]
 class ConditionReport:
     name: str
     holds: bool
-    checked: bool  # False when the needed annotations are missing
+    checked: bool  # False when skipped: see `validate_side_conditions`
     detail: str = ""
 
 
 def validate_side_conditions(lts: AugmentedLTS) -> list[ConditionReport]:
     """Check conditions (1)-(6), persistence (#), and interference reflexivity.
 
-    Exhaustive only for non-truncated systems; a truncated system yields a
-    bounded report (checked over the explored part).  Computed once per
-    system; each call returns a fresh list.
-    """
+    A condition is skipped (neither checked nor holding) on a system without
+    its annotations, and (#) and (6), which read past each step's target, on
+    a truncated one too ("exploration truncated"); the rest judge the explored
+    part.  Computed once per system; each call returns a fresh list."""
     return list(lts.memo(("conditions",), _validate, lts))
 
 
 def _validate(lts: AugmentedLTS) -> list[ConditionReport]:
-    out: list[ConditionReport] = []
-    has_instr = all(t.instr is not None for t in lts.transitions)
-    has_comp = all(t.comp is not None for t in lts.transitions)
-    has_expr = all(s.expr is not None for s in lts.states)
-
-    # (1) unique synchronisation
-    if has_instr:
-        holds, detail = True, ""
-        seen: dict[tuple[str, frozenset[str]], str] = {}
-        for t in lts.transitions:
-            key = (t.source, t.instr)
-            if key in seen:
-                holds, detail = False, f"state {t.source}: {seen[key]} and {t.id} share instr"
-                break
-            seen[key] = t.id
-        out.append(ConditionReport("(1) unique synchronisation", holds, True, detail))
-    else:
-        out.append(ConditionReport("(1) unique synchronisation", False, False, "no instr"))
-
-    # (2) finitely many instructions: immediate for an explored finite system
-    out.append(ConditionReport("(2) finite instruction set", has_instr, has_instr,
-                               "" if has_instr else "no instr"))
-
-    # (3) comp is determined by a function cmp over instructions
-    if has_instr and has_comp:
-        holds, detail = _solve_cmp(lts)
-        out.append(ConditionReport("(3) comp images of cmp", holds, True, detail))
-    else:
-        out.append(ConditionReport("(3) comp images of cmp", False, False,
-                                   "needs instr and comp"))
-
-    # (4)/(5) requested-ness conditions (ccs origin only)
-    if lts.origin == "ccs" and has_expr and has_instr and has_comp:
-        cmp, instrs, sids = lts.cmp(), lts.instructions(), lts.state_ids()
-        bad4 = next((f"instruction {i} enabled but not requested in {sid}" for sid in sids
-                     for i in sorted({j for t in lts.outgoing(sid) for j in t.instr})
-                     if not requested(lts, i, sid)), "")
-        bad5 = next((f"instruction {i} requested in {sid} but not after {u.id}"
-                     for sid in sids for i in instrs if requested_if_present(lts, i, sid)
-                     for u in lts.outgoing(sid)
-                     if cmp[i] not in u.comp and not requested(lts, i, u.target)), "")
-        out.append(ConditionReport("(4) enabled implies requested", not bad4, True, bad4))
-        out.append(ConditionReport("(5) requested persists", not bad5, True, bad5))
-    else:
-        why = "ccs origin with expressions required"
-        out.append(ConditionReport("(4) enabled implies requested", False, False, why))
-        out.append(ConditionReport("(5) requested persists", False, False, why))
-
-    # (6) and (#): persistence of concurrent transitions
-    if has_comp:
-        holds6, detail6 = True, ""
-        holdsH, detailH = True, ""
-        for sid in lts.state_ids():
-            outs = lts.outgoing(sid)
-            for t in outs:
-                for u in outs:
-                    if t.comp & u.comp:
-                        continue
-                    succ = lts.outgoing(u.target)
-                    if not any(v.comp == t.comp for v in succ):
-                        holdsH = False
-                        detailH = f"(#) fails for t={t.id}, u={u.id}"
-                    if has_instr and not any(v.instr == t.instr for v in succ):
-                        holds6 = False
-                        detail6 = f"(6) fails for t={t.id}, u={u.id}"
-        out.append(ConditionReport("(#) persistence of components", holdsH, True, detailH))
-        out.append(ConditionReport("(6) persistence of instructions", holds6, has_instr,
-                                   detail6 if has_instr else "no instr"))
-    else:
-        out.append(ConditionReport("(#) persistence of components", False, False, "no comp"))
-        out.append(ConditionReport("(6) persistence of instructions", False, False, "no comp"))
-
-    # reflexivity of interference: comp(t) nonempty
-    if has_comp:
-        bad = next((t.id for t in lts.transitions if not t.comp), "")
-        out.append(ConditionReport("interference reflexivity", not bad, True,
-                                   f"transition {bad} has empty comp" if bad else ""))
-    else:
-        out.append(ConditionReport("interference reflexivity", False, False, "no comp"))
+    instr = all(t.instr is not None for t in lts.transitions)
+    comp = all(t.comp is not None for t in lts.transitions)
+    ccs = (lts.origin == "ccs" and instr and comp
+           and all(s.expr is not None for s in lts.states))
+    needs_ccs = "ccs origin with expressions required"
+    # (name, annotated, why skipped if not, reads past targets, first failure or "")
+    table = (
+        ("(1) unique synchronisation", instr, "no instr", False, _unique_synchronisation),
+        # (2) holds on every system with instr: a system file is finite
+        ("(2) finite instruction set", instr, "no instr", False, lambda _: ""),
+        ("(3) comp images of cmp", instr and comp, "needs instr and comp", False, _solve_cmp),
+        ("(4) enabled implies requested", ccs, needs_ccs, False, _enabled_requested),
+        ("(5) requested persists", ccs, needs_ccs, False, _requested_persists),
+        ("(#) persistence of components", comp, "no comp", True,
+         partial(_persistence, "(#)", "comp")),
+        ("(6) persistence of instructions", comp and instr, "no instr" if comp else "no comp",
+         True, partial(_persistence, "(6)", "instr")),
+        ("interference reflexivity", comp, "no comp", False, _interference_reflexive),
+    )
+    out = []
+    for name, annotated, missing, successors, check in table:
+        ready = annotated and not (successors and lts.truncated)
+        detail = (check(lts) if ready else missing if not annotated
+                  else "exploration truncated")
+        out.append(ConditionReport(name, ready and not detail, ready, detail))
     return out
 
 
-def _solve_cmp(lts: AugmentedLTS) -> tuple[bool, str]:
-    """Does some cmp: instructions -> components satisfy comp(t) = cmp[instr(t)]
-    for every transition?  Backtracking over the (small) instruction set."""
-    constraints = [(tuple(sorted(t.instr)), frozenset(t.comp), t.id)
-                   for t in lts.transitions]
+def _unique_synchronisation(lts: AugmentedLTS) -> str:
+    """(1): no two transitions of one state carry the same instructions."""
+    seen: dict[tuple[str, frozenset[str]], str] = {}
+    for t in lts.transitions:
+        first = seen.setdefault((t.source, t.instr), t.id)
+        if first != t.id:
+            return f"state {t.source}: {first} and {t.id} share instr"
+    return ""
+
+
+def _enabled_requested(lts: AugmentedLTS) -> str:
+    """(4): every instruction enabled in a state is requested there."""
+    return next((f"instruction {i} enabled but not requested in {sid}"
+                 for sid in lts.state_ids()
+                 for i in sorted({j for t in lts.outgoing(sid) for j in t.instr})
+                 if not requested(lts, i, sid)), "")
+
+
+def _requested_persists(lts: AugmentedLTS) -> str:
+    """(5): a requested instruction stays requested across a step that does
+    not involve its component."""
+    cmp, instrs = lts.cmp(), lts.instructions()
+    return next((f"instruction {i} requested in {sid} but not after {u.id}"
+                 for sid in lts.state_ids() for i in instrs
+                 if requested_if_present(lts, i, sid) for u in lts.outgoing(sid)
+                 if cmp[i] not in u.comp and not requested(lts, i, u.target)), "")
+
+
+def _persistence(tag: str, field: str, lts: AugmentedLTS) -> str:
+    """(#) for field "comp", (6) for "instr": when t and u leave one state
+    and are concurrent, a transition with t's field leaves u's target."""
+    after = {s.id: {getattr(v, field) for v in lts.outgoing(s.id)} for s in lts.states}
+    return next((f"{tag} fails for t={t.id}, u={u.id}"
+                 for sid in lts.state_ids() for t in lts.outgoing(sid) for u in lts.outgoing(sid)
+                 if not t.comp & u.comp and getattr(t, field) not in after[u.target]), "")
+
+
+def _interference_reflexive(lts: AugmentedLTS) -> str:
+    """Interference is reflexive: no transition has an empty comp."""
+    return next((f"transition {t.id} has empty comp" for t in lts.transitions
+                 if not t.comp), "")
+
+
+def _solve_cmp(lts: AugmentedLTS) -> str:
+    """(3): "" if some cmp: instructions -> components has comp(t) = cmp[instr(t)]
+    for every transition, else why not.  Backtracks over the instruction set."""
+    constraints = [(tuple(sorted(t.instr)), frozenset(t.comp)) for t in lts.transitions]
     domains: dict[str, set[str]] = {}
-    for instr, comp, _ in constraints:
+    for instr, comp in constraints:
         for i in instr:
             domains[i] = domains.setdefault(i, set(comp)) & comp
     order = sorted(domains)
     assignment: dict[str, str] = {}
 
-    def consistent() -> str:
-        for instr, comp, tid in constraints:
-            if all(i in assignment for i in instr):
-                if {assignment[i] for i in instr} != comp:
-                    return tid
-        return ""
+    def consistent() -> bool:
+        return all({assignment[i] for i in instr} == comp for instr, comp in constraints
+                   if all(i in assignment for i in instr))
 
     def solve(k: int) -> bool:
         if k == len(order):
-            return not consistent()
+            return consistent()
         i = order[k]
         for value in sorted(domains[i]):
             assignment[i] = value
-            bad = consistent()
-            if not bad and solve(k + 1):
+            if consistent() and solve(k + 1):
                 return True
             del assignment[i]
         return False
 
     for i, dom in domains.items():
         if not dom:
-            return False, f"instruction {i} has no candidate component"
-    if solve(0):
-        return True, ""
-    return False, "no consistent cmp assignment found"
+            return f"instruction {i} has no candidate component"
+    return "" if solve(0) else "no consistent cmp assignment found"
 
 
 def isomorphic(a: AugmentedLTS, b: AugmentedLTS) -> bool:

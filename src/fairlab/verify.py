@@ -545,21 +545,30 @@ def _obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset
         lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
 
 
+class UnknownCondition(ValueError):
+    """A required side-condition tag that names no condition."""
+
+
 def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
                     bounds: Bounds = Bounds(),
                     required_conditions: tuple[str, ...] = ()) -> HierarchyReport:
     """Search for a lasso that is stronger-fair but not weaker-fair among all
     rooted lassos with stem length <= bounds.stem and cycles of <= bounds.cycle
     pairwise-distinct transitions.  A valid hierarchy arrow must yield zero
-    violations."""
+    violations.  Required conditions are named by exact tag, the report name's
+    first word; an unknown tag raises UnknownCondition, and one that does not
+    hold (skipped ones included) skips the search."""
     report = HierarchyReport(str(stronger), str(weaker))
     if required_conditions:
-        conditions = validate_side_conditions(lts)
-        for need in required_conditions:
-            hit = next((c for c in conditions if c.name.startswith(need)), None)
-            if hit is None or not hit.checked or not hit.holds:
-                report.skipped = f"side condition {need} does not validate"
-                return report
+        holds = {c.name.split()[0]: c.holds for c in validate_side_conditions(lts)}
+        unknown = [need for need in required_conditions if need not in holds]
+        if unknown:
+            raise UnknownCondition(f"unknown side condition {unknown[0]!r}; "
+                                   f"known: {', '.join(holds)}")
+        need = next((need for need in required_conditions if not holds[need]), None)
+        if need is not None:
+            report.skipped = f"side condition {need} does not validate"
+            return report
     walks = rooted_walks(lts, bounds.stem)
     s_just = stronger.kind == "Just"
     w_just = weaker.kind == "Just"

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairlab.cli import main
-from fairlab.lts import load_lts
+from fairlab.lts import from_exploration, load_lts, named_goal, save_lts
+from fairlab.parser import parse_ccs
 from fairlab.paths import Assumption, Lasso, PathPrefix
+from fairlab.semantics import explore
 from fairlab.tasks import NOTIONS
-from fairlab.verify import liveness, simple_cycles_at
+from fairlab.verify import Bounds, hierarchy_check, liveness, simple_cycles_at, simulate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "fairlab" / "corpus_data"
@@ -164,6 +166,86 @@ def test_hierarchy_malformed_bounds_is_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and not captured.out, bounds
         assert captured.err.startswith("error: --bounds") and captured.err.count("\n") == 1
+
+
+def test_hierarchy_requires_exact_condition_tags(tmp_path, capsys):
+    """--requires takes a condition's exact tag; any other text is a usage
+    error naming the known tags, even after a condition that fails."""
+    known = "known: (1), (2), (3), (4), (5), (#), (6), interference"
+    five_six = ["hierarchy", str(_ccs2lts(tmp_path, "ex-5.6.ccs")), "--stronger", "S:A",
+                "--weaker", "S:T", "--bounds", "2,4"]
+    mutex_free = ["hierarchy", str(DATA / "ex-4.2-mutex-free.json"), "--stronger", "S:A",
+                  "--weaker", "S:T", "--bounds", "2,3"]
+    capsys.readouterr()
+    for argv, tag in ((five_six + ["--requires", ""], ""),
+                      (five_six + ["--requires", "("], "("),
+                      (five_six + ["--requires", "(7)"], "(7)"),
+                      (five_six + ["--requires", "(1) unique"], "(1) unique"),
+                      (five_six + ["--requires", "(1)", "inter"], "inter"),
+                      (mutex_free + ["--requires", "(#)", "(7)"], "(7)")):
+        assert main(argv) == 2, argv
+        assert _one_line_error(capsys) == f"error: unknown side condition {tag!r}; {known}"
+    assert main(five_six + ["--requires", "(1)", "(#)", "(6)", "interference"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["skipped"] == "" and doc["violations"]
+    assert main(mutex_free + ["--requires", "interference", "(#)"]) == 1
+    assert json.loads(capsys.readouterr().out)["skipped"] == (
+        "side condition (#) does not validate")
+    # a condition that was not checked does not validate either
+    assert main(mutex_free + ["--requires", "(6)"]) == 1
+    assert json.loads(capsys.readouterr().out)["skipped"] == (
+        "side condition (6) does not validate")
+    lts = load_lts((DATA / "ex-4.2-mutex-free.json").read_text())
+    with pytest.raises(ValueError, match="unknown side condition '7'"):
+        hierarchy_check(lts, Assumption("S", "A"), Assumption("S", "T"), Bounds(1, 1), ("7",))
+
+
+def _validate_lines(path: Path, capsys, code: int) -> list[str]:
+    assert main(["validate", str(path)]) == code, path
+    return capsys.readouterr().out.splitlines()
+
+
+def test_validate_skips_what_it_cannot_check(tmp_path, capsys):
+    """An unchecked condition prints [skip], never [pass]; (#) and (6) are
+    skipped on a truncated exploration, whose unexpanded states have no
+    successors; (#) names the first failing pair."""
+    skip6 = "[skip] (6) persistence of instructions  (no instr)"
+    cut = "persistence of {}  (exploration truncated)"
+    second = _validate_lines(DATA / "ex-4.1-second-ts.json", capsys, 0)
+    assert skip6 in second and "[skip] (#) " + cut.format("components") in second
+    assert skip6 in _validate_lines(DATA / "ex-4.2-mutex-mem.json", capsys, 0)
+    free = _validate_lines(DATA / "ex-4.2-mutex-free.json", capsys, 1)
+    assert skip6 in free
+    assert "[FAIL] (#) persistence of components  ((#) fails for t=l1, u=m1)" in free
+    spec = tmp_path / "two.ccs"
+    spec.write_text("a.0 | b.0")
+    whole, cut_lts = tmp_path / "whole.json", tmp_path / "cut.json"
+    assert main(["ccs2lts", str(spec), str(whole)]) == 0
+    assert main(["ccs2lts", str(spec), str(cut_lts), "--depth-cap", "1"]) == 0
+    assert all(line.startswith("[pass]") for line in _validate_lines(whole, capsys, 0))
+    lines = _validate_lines(cut_lts, capsys, 0)
+    assert [line for line in lines if not line.startswith("[pass]")] == [
+        "[skip] (#) " + cut.format("components"), "[skip] (6) " + cut.format("instructions")]
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path, capsys, monkeypatch):
+    """Omitted caps, bounds, horizon, runs and seed take the defaults of
+    `explore`, `Bounds` and `simulate`."""
+    monkeypatch.delenv("FAIRLAB_SEED", raising=False)
+    out = tmp_path / "out.json"
+    assert main(["ccs2lts", str(DATA / "ex-5.2.ccs"), str(out)]) == 0
+    assert out.read_text() == save_lts(from_exploration(explore(parse_ccs(
+        (DATA / "ex-5.2.ccs").read_text()))))
+    capsys.readouterr()
+    lts = load_lts((DATA / "prob-notagef.json").read_text())
+    assert main(["simulate", str(DATA / "prob-notagef.json"), "--goal", "win"]) == 0
+    assert json.loads(capsys.readouterr().out) == simulate(lts, named_goal(lts, "win")).to_json()
+    five_six = _ccs2lts(tmp_path, "ex-5.6.ccs")
+    capsys.readouterr()
+    assert main(["hierarchy", str(five_six), "--stronger", "S:T", "--weaker", "W:T"]) == 0
+    lts = load_lts(five_six.read_text())
+    assert json.loads(capsys.readouterr().out)["checked"] == hierarchy_check(
+        lts, Assumption("S", "T"), Assumption("W", "T")).checked
 
 
 def test_ltl_deeply_nested_formula_is_one_line_error(tmp_path, capsys):
