@@ -405,6 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout exited early: point stdout at devnull, so the
+        # flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -184,7 +184,7 @@ def _diag(lts: AugmentedLTS, sid: str) -> bool:
 # The entries.
 # ---------------------------------------------------------------------------
 
-def _entries() -> list[CorpusEntry]:
+def corpus_entries() -> list[CorpusEntry]:
     out: list[CorpusEntry] = []
 
     out.append(CorpusEntry(
@@ -424,10 +424,6 @@ def _entries() -> list[CorpusEntry]:
     ))
 
     return out
-
-
-def corpus_entries() -> list[CorpusEntry]:
-    return _entries()
 
 
 def build_all(pattern: str = "*") -> list[BuiltEntry]:

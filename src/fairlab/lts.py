@@ -49,6 +49,13 @@ class TaskSet:
     notion: str  # A T I Z C G custom
     tasks: tuple[Task, ...]
 
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for name in self.names():
+            if name in seen:
+                raise SchemaError(f"task {name!r} is named twice")
+            seen.add(name)
+
     def names(self) -> list[str]:
         return [t.name for t in self.tasks]
 

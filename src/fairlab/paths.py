@@ -285,8 +285,7 @@ class PrefixCertificate:
     length: int
 
 
-def prefix_certificate(lts: AugmentedLTS, prefix: PathPrefix, task: Task,
-                       reactive: bool = False) -> PrefixCertificate:
+def prefix_certificate(lts: AugmentedLTS, prefix: PathPrefix, task: Task) -> PrefixCertificate:
     """Whether the task is enabled at every state of the prefix and whether
     it occurs in it; claims nothing about any continuation."""
     prefix.validate(lts)
@@ -294,7 +293,7 @@ def prefix_certificate(lts: AugmentedLTS, prefix: PathPrefix, task: Task,
     return PrefixCertificate(
         prefix=prefix,
         task=task.name,
-        enabled_everywhere=all(enabled(lts, task, s, reactive) for s in states),
+        enabled_everywhere=all(enabled(lts, task, s) for s in states),
         occurs=bool(task.members & set(prefix.steps)),
         length=len(prefix.steps),
     )

@@ -378,50 +378,20 @@ def loopfree_witness(lts: AugmentedLTS, goal: frozenset[str],
 # The feasibility scheduler (matrix as priority queue).
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Queue:
-    """Filled, uncrossed matrix entries in enumeration order (column-major by
-    construction: columns are appended per step, rows in task-name order)."""
-
-    entries: list[str] = field(default_factory=list)  # task names, f-ordered
-
-    def fill_column(self, enabled_tasks: list[str]) -> None:
-        self.entries.extend(sorted(enabled_tasks))
-
-    def pick(self, enabled_now: set[str]) -> str | None:
-        for k, name in enumerate(self.entries):
-            if name in enabled_now:
-                del self.entries[k]
-                return name
-        return None
-
-    def digest(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for name in self.entries:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
-
-
-def _scheduler_run(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
-    """Generator of scheduler steps: yields (state, queue) before each pick."""
-    queue = _Queue()
+def _schedule(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
+    """The priority-queue scheduler from the end of prefix.  Each step appends
+    a column, the names of the tasks enabled now in name order, to the queue;
+    pops the earliest entry whose task is enabled now; and takes that task's
+    member with the least id.  Yields (transition taken, queue) until
+    deadlock; the queue is live, so read it before the next step."""
+    queue: list[str] = []
     at = prefix.end(lts)
-    steps = list(prefix.steps)
-    while True:
-        enabled_now = {ts.tasks[k].name for k in enabled_tasks(lts, ts, at)}
-        if not enabled_now:
-            yield at, queue, steps, None
-            return
-        queue.fill_column(sorted(enabled_now))
-        name = queue.pick(enabled_now)
-        assert name is not None  # the column just filled contains one
-        task = ts.get(name)
-        chosen = min((t for t in lts.outgoing(at) if t.id in task.members),
-                     key=_tid_key)
-        steps.append(chosen.id)
-        yield at, queue, steps, chosen
-        at = chosen.target
+    while now := {ts.tasks[k].name for k in enabled_tasks(lts, ts, at)}:
+        queue.extend(sorted(now))
+        task = ts.get(queue.pop(next(k for k, name in enumerate(queue) if name in now)))
+        taken = min((t for t in lts.outgoing(at) if t.id in task.members), key=_tid_key)
+        yield taken, queue
+        at = taken.target
 
 
 def fair_extend(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
@@ -433,10 +403,8 @@ def fair_extend(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
     if step_cap < 0:
         raise ValueError(f"need steps >= 0, got {step_cap}")
     prefix.validate(lts)
-    steps = prefix.steps
-    for _, _, steps, _ in itertools.islice(_scheduler_run(lts, prefix, ts), step_cap):
-        pass
-    return PathPrefix(prefix.start, tuple(steps))
+    taken = itertools.islice(_schedule(lts, prefix, ts), step_cap)
+    return PathPrefix(prefix.start, prefix.steps + tuple(t.id for t, _ in taken))
 
 
 def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
@@ -445,26 +413,19 @@ def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
     a strongly fair cycle; the infinite schedule is fair, so one exists."""
     prefix.validate(lts)
     seen: dict[tuple, list[int]] = {}
-    count = 0
+    steps = list(prefix.steps)
     strong = Assumption("S", "custom", ts)
-    for _, queue, steps, chosen in _scheduler_run(lts, prefix, ts):
-        if chosen is None:
-            return None  # deadlocked: no infinite extension
-        # recurrence point: configuration right after taking the step
-        key = (chosen.target, queue.digest())
-        position = len(steps)
+    for taken, queue in itertools.islice(_schedule(lts, prefix, ts), max(max_steps, 0)):
+        steps.append(taken.id)
+        # recurrence point: the target and the queue's task names in
+        # first-occurrence order, right after the step
+        key = (taken.target, tuple(dict.fromkeys(queue)))
         for earlier in reversed(seen.get(key, [])):
-            cycle = tuple(steps[earlier:position])
-            if not cycle:
-                continue
-            lasso = Lasso(prefix.start, tuple(steps[:earlier]), cycle)
+            lasso = Lasso(prefix.start, tuple(steps[:earlier]), tuple(steps[earlier:]))
             if classify_lasso(lts, lasso, strong):
                 return lasso
-        seen.setdefault(key, []).append(position)
-        count += 1
-        if count >= max_steps:
-            return None
-    return None
+        seen.setdefault(key, []).append(len(steps))
+    return None  # deadlocked, or no fair recurrence within max_steps
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,22 @@ def test_malformed_path_and_task_files_are_one_line_errors(tmp_path, capsys):
     cases += [(["tasks", lts, "--custom", str(tasks)], want),
               (["liveness", lts, "--goal", "crit", "--assume", f"W:custom={tasks}"], want),
               (["validate", str(broken_lts)], want)]
+    twice, twice_lts, only_tr = (tmp_path / f"{n}.json" for n in ("twice", "twice-lts", "tr"))
+    twice.write_text(json.dumps({"tasks": [{"name": "L", "members": ["m1"]},
+                                           {"name": "L", "members": ["l1"]}]}))
+    only_tr.write_text(json.dumps({"tasks": [{"name": "Tr", "members": ["l1"]}]}))
+    broken = json.loads((DATA / "ex-4.2-mutex-mem.json").read_text())
+    broken["tasks"]["LM"]["tasks"][1]["name"] = "L"
+    twice_lts.write_text(json.dumps(broken))
+    want = "task 'L' is named twice"
+    cases += [(["tasks", lts, "--custom", str(twice)], want),
+              (["extend", lts, "--custom", str(twice)], want),
+              (["certify", lts, "--prefix", str(prefix), "--task", "L", "--custom", str(twice)],
+               want),
+              (["liveness", lts, "--goal", "crit", "--assume", f"S:custom={twice}"], want),
+              (["validate", str(twice_lts)], want),
+              (["tasks", lts, "--custom", str(only_tr), "--with-progress"],
+               "task 'Tr' is named twice")]
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     want = "not valid JSON: nested too deeply"
@@ -669,3 +685,28 @@ def test_output_is_byte_identical_across_hash_seeds(tmp_path):
     assert runs[0].stderr.endswith(b"error: transition x1 carries no component set\n"
                                    b"-- exit 1\n")
     assert runs[0].stdout.count(b"-- exit") == len(argvs)
+
+
+def test_closed_stdout_is_one_io_error(tmp_path):
+    """A reader of stdout that exits early is an I/O error, whether a write
+    fails (large output, or unbuffered) or only the final flush does."""
+    clerk = tmp_path / "clerk.json"
+    assert main(["ccs2lts", str(DATA / "ex-7.1-clerk.ccs"), str(clerk)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(SRC), os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv, extra in ((["tasks", str(clerk), "--notion", "T"], {}),
+                        (["tasks", str(clerk), "--notion", "T"], {"PYTHONUNBUFFERED": "1"}),
+                        (["validate", str(clerk)], {}),
+                        (["corpus", "--filter", "ex-2.1*"], {}),
+                        (["--help"], {})):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from fairlab.cli import main; "
+                                       "sys.exit(main())", *argv],
+                stdout=write, stderr=subprocess.PIPE, env={**env, **extra}, timeout=120)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (2, b"error: stdout closed\n"), argv

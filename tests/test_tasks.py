@@ -204,3 +204,19 @@ def test_with_progress_task():
 
     empty = load_custom_tasks(lts, '{"tasks": []}')
     assert [t.name for t in with_progress_task(empty, lts).tasks] == ["Tr"]
+
+    # a Tr task that misses a transition would be named twice
+    only_tr = TaskSet("custom", (Task("Tr", only_b.tasks[0].members),))
+    with pytest.raises(SchemaError, match="task 'Tr' is named twice"):
+        with_progress_task(only_tr, lts)
+
+
+def test_repeated_task_names_are_rejected():
+    with pytest.raises(SchemaError, match="task 'x' is named twice"):
+        TaskSet("custom", (Task("x", frozenset({"t5"})), Task("y", frozenset()),
+                           Task("x", frozenset({"t1"}))))
+    lts = from_exploration(explore(parse_ccs("X where X = a.X + b.0")))
+    tid = lts.transitions[0].id
+    with pytest.raises(SchemaError, match="task 'x' is named twice"):
+        load_custom_tasks(lts, json.dumps({"tasks": [{"name": "x", "members": [tid]},
+                                                     {"name": "x", "members": []}]}))
