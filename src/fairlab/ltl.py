@@ -20,25 +20,15 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Formula:
-    """An LTL formula; printing, equality and hashing walk chains by `_chain`."""
+    """An LTL formula.  `not`, `F` and `G` hold one operand in `args`; `and`,
+    `or` and `implies` hold the operands of a left-grouped chain, so
+    `(a & b) & c` is one node with three operands, built by `_chain_of`."""
 
     op: str  # atom not and or implies F G true false
     atom: str = ""
-    left: "Formula | None" = None
-    right: "Formula | None" = None
-
-    def _parts(self) -> tuple:
-        if self.right is not None:
-            return (self.op, *_chain(self))
-        return (self.op, self.atom, self.left, self.right)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Formula) and self._parts() == other._parts()
-
-    def __hash__(self) -> int:
-        return hash(self._parts())
+    args: tuple[Formula, ...] = ()
 
     def __str__(self) -> str:
         if self.op in ("true", "false"):
@@ -46,12 +36,21 @@ class Formula:
         if self.op == "atom":
             return self.atom
         if self.op == "not":
-            return f"!{self.left}"
+            return f"!{self.args[0]}"
         if self.op in ("F", "G"):
-            return f"{self.op}({self.left})"
-        first, *rest = _chain(self)
+            return f"{self.op}({self.args[0]})"
+        first, *rest = self.args
         sym = {"and": "&", "or": "|", "implies": "->"}[self.op]
         return "(" * len(rest) + str(first) + "".join(f" {sym} {g})" for g in rest)
+
+
+def _chain_of(op: str, first: Formula, *rest: Formula) -> Formula:
+    """The left-grouped chain of op over the operands, one node; a first
+    operand that is itself a chain of op gives its operands, so (a & b) & c
+    is a & b & c."""
+    if not rest:
+        return first
+    return Formula(op, args=(*(first.args if first.op == op else (first,)), *rest))
 
 
 def atom(name: str) -> Formula:
@@ -63,30 +62,27 @@ def true() -> Formula:
 
 
 def neg(f: Formula) -> Formula:
-    return Formula("not", left=f)
+    return Formula("not", args=(f,))
 
 
 def conj(*fs: Formula) -> Formula:
-    out = fs[0] if fs else true()
-    for f in fs[1:]:
-        out = Formula("and", left=out, right=f)
-    return out
+    return _chain_of("and", *fs) if fs else true()
 
 
 def disj(a_: Formula, b: Formula) -> Formula:
-    return Formula("or", left=a_, right=b)
+    return _chain_of("or", a_, b)
 
 
 def implies(a_: Formula, b: Formula) -> Formula:
-    return Formula("implies", left=a_, right=b)
+    return _chain_of("implies", a_, b)
 
 
 def F(f: Formula) -> Formula:  # noqa: N802 - LTL operator names
-    return Formula("F", left=f)
+    return Formula("F", args=(f,))
 
 
 def G(f: Formula) -> Formula:  # noqa: N802
-    return Formula("G", left=f)
+    return Formula("G", args=(f,))
 
 
 # Deepest nesting parse_formula accepts: each !, F, G, parenthesis and
@@ -97,9 +93,11 @@ MAX_NESTING = 100
 
 def parse_formula(text: str) -> Formula:
     """Grammar: p | !f | f & g | f "|" g | f -> g | F f | G f | (f) | true |
-    false, with atoms of the shape name(argument) or bare identifiers.
-    Prefix chains are read without recursion; nesting deeper than
-    MAX_NESTING is a FormulaError."""
+    false; `!`, `F` and `G` bind tightest, then `&`, `|` and `->`, which groups
+    to the right.  An atom `kind:argument` runs to the next space or operator,
+    keeping balanced parentheses only so that custom task names with them
+    still work.  Prefix chains are read without recursion; nesting deeper
+    than MAX_NESTING is a FormulaError."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -113,25 +111,20 @@ def parse_formula(text: str) -> Formula:
         pos += 1
 
     def parse_implies(depth: int) -> Formula:
-        left = parse_or(depth)
+        left = parse_chain("|", depth)
         if peek() == "->":
             eat("->")
             return implies(left, parse_implies(depth + 1))
         return left
 
-    def parse_or(depth: int) -> Formula:
-        left = parse_and(depth)
-        while peek() == "|":
-            eat("|")
-            left = disj(left, parse_and(depth))
-        return left
-
-    def parse_and(depth: int) -> Formula:
-        left = parse_unary(depth)
-        while peek() == "&":
-            eat("&")
-            left = Formula("and", left=left, right=parse_unary(depth))
-        return left
+    def parse_chain(sym: str, depth: int) -> Formula:
+        # an "|" chain of "&" chains of unary formulas
+        operand = (lambda d: parse_chain("&", d)) if sym == "|" else parse_unary
+        operands = [operand(depth)]
+        while peek() == sym:
+            eat(sym)
+            operands.append(operand(depth))
+        return _chain_of("or" if sym == "|" else "and", *operands)
 
     def parse_unary(depth: int) -> Formula:
         nonlocal pos
@@ -156,7 +149,7 @@ def parse_formula(text: str) -> Formula:
         else:
             raise FormulaError(f"unexpected {t or 'end of formula'!r}")
         for op in reversed(ops):
-            f = neg(f) if op == "!" else Formula(op, left=f)
+            f = {"!": neg, "F": F, "G": G}[op](f)
         return f
 
     f = parse_implies(0)
@@ -315,8 +308,8 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
     The path has one suffix class per stem position and one per cycle
     position.  Every cycle class reaches every other, so F and G over the
     cycle are one any/all, and the stem classes fold backwards from that
-    value: O(|formula| x |lasso|) time.  And/or chains are flattened, so
-    their length costs no Python stack.
+    value: O(|formula| x |lasso|) time.  A chain is one node, so its length
+    costs no Python stack.
     """
     lasso.validate(conv.lts)
     # the state of each suffix class: stem positions, then cycle positions
@@ -331,15 +324,18 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
         if op == "atom":
             return [conv.holds(s, f.atom) for s in states]
         if op == "not":
-            return [not v for v in sat(f.left)]
+            return [not v for v in sat(f.args[0])]
         if op == "implies":
-            return [not a_ or b for a_, b in zip(sat(f.left), sat(f.right))]
+            out, *rest = map(sat, f.args)
+            for vs in rest:
+                out = [not a_ or b for a_, b in zip(out, vs)]
+            return out
         if op in ("and", "or"):
             combine = all if op == "and" else any
-            return [combine(vs) for vs in zip(*[sat(g) for g in _chain(f)])]
+            return [combine(vs) for vs in zip(*map(sat, f.args))]
         if op in ("F", "G"):
             combine = any if op == "F" else all
-            out = sat(f.left)
+            out = sat(f.args[0])
             out[m:] = [combine(out[m:])] * (len(out) - m)
             for i in range(m - 1, -1, -1):
                 out[i] = combine((out[i], out[i + 1]))
@@ -347,16 +343,6 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
         raise FormulaError(f"unknown operator {f.op}")
 
     return sat(formula)[0]
-
-
-def _chain(f: Formula) -> list[Formula]:
-    """The operands, left to right, of the left-nested chain of f.op at f, as
-    `conj` and the parser build it; with f.op they determine f."""
-    op, rights = f.op, []
-    while f.op == op:
-        rights.append(f.right)
-        f = f.left
-    return [f, *reversed(rights)]
 
 
 def weak_fairness_formula(ts: TaskSet) -> Formula:

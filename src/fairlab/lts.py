@@ -208,8 +208,7 @@ class AugmentedLTS:
         return c
 
     def instructions(self) -> list[str]:
-        return list(self.memo(("instructions",), lambda: sorted(
-            {i for t in self.transitions if t.instr for i in t.instr})))
+        return sorted({i for t in self.transitions if t.instr for i in t.instr})
 
 
 def from_exploration(report) -> AugmentedLTS:

@@ -159,9 +159,10 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
     states: list[ExploredState] = []
     transitions: list[ExploredTransition] = []
     by_node: dict[int, str] = {}  # id of an interned term -> state id
+    depths: list[int] = []  # of each state, from its admission
     truncated = False
 
-    def admit(e: Expr) -> str | None:
+    def admit(e: Expr, depth: int) -> str | None:
         nonlocal truncated
         sid = by_node.get(id(e))
         if sid is not None:
@@ -172,32 +173,24 @@ def explore(spec: ProcessSpec, state_cap: int = 512, depth_cap: int = 256) -> Ex
         sid = f"s{len(states)}"
         by_node[id(e)] = sid
         states.append(ExploredState(sid, e, print_expr(e)))
+        depths.append(depth)
         return sid
 
-    root_id = admit(root)
-    assert root_id is not None
-    frontier: list[tuple[str, Expr, int]] = [(root_id, root, 0)]
-    expanded: set[str] = set()
-    while frontier:
-        next_frontier: list[tuple[str, Expr, int]] = []
-        for sid, expr, depth in frontier:
-            if sid in expanded:
+    # states are admitted in breadth-first order: expand them in that order
+    admit(root, 0)
+    k = 0
+    while k < len(states):
+        state, depth = states[k], depths[k]
+        k += 1
+        if depth >= depth_cap:
+            truncated = True
+            continue
+        for s in _ordered(_step(state.expr, mk, memo)):
+            tid = admit(s.target, depth + 1)
+            if tid is None:
                 continue
-            if depth >= depth_cap:
-                truncated = True
-                continue
-            expanded.add(sid)
-            for s in _ordered(_step(expr, mk, memo)):
-                tid = admit(s.target)
-                if tid is None:
-                    continue
-                comp = frozenset(spec.cmp_of(i) for i in s.instr)
-                blocking = (not s.label.is_tau) and s.label.base not in spec.nonblocking
-                transitions.append(ExploredTransition(
-                    f"t{len(transitions)}", sid, tid, s.label, s.instr, comp, blocking))
-                if tid not in expanded:
-                    next_frontier.append((tid, s.target, depth + 1))
-        frontier = next_frontier
-    if len(expanded) < len(states):
-        truncated = True
-    return ExplorationReport(states, transitions, root_id, truncated)
+            comp = frozenset(spec.cmp_of(i) for i in s.instr)
+            blocking = (not s.label.is_tau) and s.label.base not in spec.nonblocking
+            transitions.append(ExploredTransition(
+                f"t{len(transitions)}", state.id, tid, s.label, s.instr, comp, blocking))
+    return ExplorationReport(states, transitions, "s0", truncated)

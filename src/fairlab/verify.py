@@ -421,9 +421,10 @@ def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
         # first-occurrence order, right after the step
         key = (taken.target, tuple(dict.fromkeys(queue)))
         for earlier in reversed(seen.get(key, [])):
-            lasso = Lasso(prefix.start, tuple(steps[:earlier]), tuple(steps[earlier:]))
-            if classify_lasso(lts, lasso, strong):
-                return lasso
+            window = tuple(steps[earlier:])
+            # strong fairness reads the cycle only, so the stem is left out
+            if classify_lasso(lts, Lasso(taken.target, (), window), strong):
+                return Lasso(prefix.start, tuple(steps[:earlier]), window)
         seen.setdefault(key, []).append(len(steps))
     return None  # deadlocked, or no fair recurrence within max_steps
 

@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -275,6 +276,22 @@ def test_ltl_cli(tmp_path, capsys):
                  "--formula", "G(G(enabled:L) -> F(occurs:L))"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
+def test_readme_ltl_example_runs_on_a_saved_corpus_system(tmp_path, capsys):
+    # the README's command line, verbatim, on ex-4.1 (z | X where X = i.X)
+    readme = (SRC.parent / "README.md").read_text()
+    line = next(ln for ln in readme.splitlines() if ln.startswith("fairlab ltl "))
+    argv = shlex.split(line)[1:]
+    assert argv[:4] == ["ltl", "out.json", "--lasso", "lasso.json"]
+    out = _ccs2lts(tmp_path, "ex-4.1.ccs")
+    argv[1:4] = [str(out), "--lasso", str(tmp_path / "lasso.json")]
+    # z stays enabled along the i-loop at s0 and never occurs; after it, fine
+    for stem, cycle, holds in (([], ["t0"], False), (["t1"], ["t2"], True)):
+        (tmp_path / "lasso.json").write_text(json.dumps(
+            {"start": "s0", "stem": stem, "cycle": cycle}))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is holds
 
 
 def test_simulate_cli_deterministic(tmp_path, capsys, monkeypatch):

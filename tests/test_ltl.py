@@ -8,8 +8,8 @@ import pytest
 
 from fairlab.corpus import build_all, t_by
 from fairlab.lts import AnnotationError, from_exploration
-from fairlab.ltl import (FormulaError, Formula, G, atom, conj, convert_lasso, eval_ltl,
-                         implies, ltl_convert, parse_formula,
+from fairlab.ltl import (FormulaError, Formula, G, atom, conj, convert_lasso, disj,
+                         eval_ltl, implies, ltl_convert, neg, parse_formula,
                          strong_fairness_formula, weak_fairness_formula, F)
 from fairlab.parser import parse_ccs
 from fairlab.paths import Assumption, Lasso, classify_lasso, enabled
@@ -220,16 +220,20 @@ def _oracle_eval(conv, lasso, formula):
         if f.op == "atom":
             return {c: _oracle_holds(conv.base, state_of[c], f.atom) for c in classes}
         if f.op == "not":
-            inner = sat(f.left)
+            inner = sat(f.args[0])
             return {c: not inner[c] for c in classes}
         if f.op in ("and", "or", "implies"):
-            a_, b = sat(f.left), sat(f.right)
-            if f.op == "and":
-                return {c: a_[c] and b[c] for c in classes}
-            if f.op == "or":
-                return {c: a_[c] or b[c] for c in classes}
-            return {c: (not a_[c]) or b[c] for c in classes}
-        inner = sat(f.left)
+            # a chain node is its operands grouped to the left
+            out, *rest = [sat(g) for g in f.args]
+            for b in rest:
+                if f.op == "and":
+                    out = {c: out[c] and b[c] for c in classes}
+                elif f.op == "or":
+                    out = {c: out[c] or b[c] for c in classes}
+                else:
+                    out = {c: (not out[c]) or b[c] for c in classes}
+            return out
+        inner = sat(f.args[0])
         quantifier = any if f.op == "F" else all
         return {c: quantifier(inner[d] for d in reach[c]) for c in classes}
 
@@ -242,11 +246,10 @@ def _random_formula(rng, atoms, depth):
         if pick < 0.1:
             return Formula(rng.choice(("true", "false")))
         return atom(rng.choice(atoms))
-    op = rng.choice(("not", "and", "or", "implies", "F", "G"))
-    if op in ("not", "F", "G"):
-        return Formula(op, left=_random_formula(rng, atoms, depth - 1))
-    return Formula(op, left=_random_formula(rng, atoms, depth - 1),
-                   right=_random_formula(rng, atoms, depth - 1))
+    build = rng.choice((neg, conj, disj, implies, F, G))
+    if build in (neg, F, G):
+        return build(_random_formula(rng, atoms, depth - 1))
+    return build(_random_formula(rng, atoms, depth - 1), _random_formula(rng, atoms, depth - 1))
 
 
 def test_linear_eval_matches_reachability_oracle():
