@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .labels import ActionLabel, parse_label
-from .parser import parse_expression
+from .parser import parse_expression, state_parser
 from .semantics import step
 from .syntax import Expr, cmp_table, print_expr, project
 
@@ -185,14 +185,14 @@ class AugmentedLTS:
         return [s.id for s in self.states]
 
     def state_expr(self, sid: str) -> Expr:
-        """Parsed expression of a ccs-origin state."""
+        """Parsed expression of a ccs-origin state (see `state_parser`)."""
         return self.memo(("expr", sid), self._parse_state, sid)
 
     def _parse_state(self, sid: str) -> Expr:
         text = self.state(sid).expr
         if text is None:
             raise AnnotationError(f"state {sid} carries no expression")
-        return parse_expression(text)
+        return self.memo(("parser",), state_parser)(text)
 
     def cmp(self) -> dict[str, str]:
         """cmp: the component of each instruction, read off the initial
@@ -361,28 +361,37 @@ def load_lts(document: str) -> AugmentedLTS:
 # ---------------------------------------------------------------------------
 
 def goal_states(lts: AugmentedLTS, goal: GoalSpec) -> frozenset[str]:
-    """Union of the goal's disjunct evaluations over the state set."""
+    """Union of the goal's disjunct evaluations over the state set.  A state
+    id the system lacks is a SchemaError, and a state_is or component_at goal
+    on a state without an expression an AnnotationError."""
     out: set[str] = set()
     for d in goal.disjuncts:
         if d.kind == "explicit":
-            out |= d.states & set(lts.state_ids())
+            unknown = d.states - set(lts.state_ids())
+            if unknown:
+                raise SchemaError(f"explicit goal names unknown state id {min(unknown)}")
+            out |= d.states
         elif d.kind == "state_is":
             want = print_expr(parse_expression(d.expr))
-            for s in lts.states:
-                if s.expr is not None and print_expr(lts.state_expr(s.id)) == want:
-                    out.add(s.id)
+            out.update(lts.memo(("printed",), _states_by_print, lts).get(want, ()))
         elif d.kind == "component_at":
             want = print_expr(parse_expression(d.expr))
             for s in lts.states:
-                if s.expr is None:
-                    raise AnnotationError(
-                        "component_at goals need expression-carrying states")
                 comp = project(lts.state_expr(s.id), d.path)
                 if comp is not None and print_expr(comp) == want:
                     out.add(s.id)
         else:
             raise SchemaError(f"unknown goal predicate kind {d.kind}")
     return frozenset(out)
+
+
+def _states_by_print(lts: AugmentedLTS) -> dict[str, list[str]]:
+    """The ids of the states, by the printed text of their terms; a state
+    without an expression is an AnnotationError."""
+    out: dict[str, list[str]] = {}
+    for s in lts.states:
+        out.setdefault(print_expr(lts.state_expr(s.id)), []).append(s.id)
+    return out
 
 
 def named_goal(lts: AugmentedLTS, name: str) -> frozenset[str]:

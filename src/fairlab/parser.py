@@ -19,7 +19,8 @@ from typing import NamedTuple
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
                      Relabel, Restrict, Span, Var, build, copier, depth_guarded, free_vars,
-                     instruction_paths, naming_violation, print_expr, substitute, walk)
+                     instruction_paths, iter_prefixes, naming_violation, print_expr,
+                     substitute, walk)
 
 
 class ParseError(ValueError):
@@ -30,10 +31,11 @@ class ParseError(ValueError):
 
 
 class Token(NamedTuple):
-    kind: str  # IDENT UIDENT PUNCT INDEX NAME RELABEL EOF
+    kind: str  # IDENT UIDENT PUNCT INDEX NAME RELABEL GROUP EOF
     text: str
     span: Span
     source: str = ""  # a RELABEL token's whole "[...]" text; its text is "["
+    node: Expr | None = None  # a GROUP token's term (see `state_parser`)
 
 
 _KEYWORDS = ("where", "tau", "nonblocking")
@@ -262,15 +264,14 @@ class _Parser:
         return RelabelRule(src.text, dst.text, src_idx, dst_idx)
 
     def parse_atom(self) -> Expr:
-        t = self.peek()
+        t = self.next()
+        if t.kind == "GROUP":
+            return t.node
         if t.text == "0":
-            self.next()
             return Nil(span=t.span)
         if t.kind == "UIDENT":
-            self.next()
             return Var(t.text, span=t.span)
         if t.text == "(":
-            self.next()
             e = self.parse_expr()
             if self.at("where"):
                 self.next()
@@ -306,7 +307,8 @@ def _close(root: Expr, spec: RecSpec) -> Expr:
     return substitute(root, spec, build)
 
 
-def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, ActionLabel]]]:
+def _assign_names(root: Expr, shared: dict | None = None
+                  ) -> tuple[Expr, dict[str, tuple[Span | None, ActionLabel]]]:
     """Restrict every fix term to the definitions reachable from its variable
     (read off the unrestricted bodies) and give every prefix occurrence left
     an instruction name.
@@ -315,19 +317,21 @@ def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, Action
     position getting a private copy named apart, which keeps cmp a function
     from instructions to components.  Auto names are ``base@k`` with k a
     per-base occurrence ordinal, assigned in textual order; explicit
-    ``a{n}`` names are kept.
+    ``a{n}`` names are kept.  A fix term whose id is a key of `shared` was
+    restricted and named before: it is kept, and its name table taken in.
     """
     table: dict[str, tuple[Span | None, ActionLabel]] = {}
     counters: dict[str, int] = {}
 
+    def claim(name: str, span: Span | None, action: ActionLabel) -> None:
+        # duplicates are legal in reparsed states, where a prefix occurs
+        # both unfolded and inside its fix group; labels must agree
+        if table.setdefault(name, (span, action))[1] != action:
+            raise ParseError(f"instruction name {name!r} reused with a different action", span)
+
     def fresh(p: Prefix) -> str:
         if p.name:
-            # duplicates are legal in reparsed states, where a prefix occurs
-            # both unfolded and inside its fix group; labels must agree
-            if p.name in table and table[p.name][1] != p.action:
-                raise ParseError(
-                    f"instruction name {p.name!r} reused with a different action", p.span)
-            table.setdefault(p.name, (p.span, p.action))
+            claim(p.name, p.span, p.action)
             return p.name
         base = str(p.action).lstrip("'").replace("#", "_")
         counters[base] = counters.get(base, 0) + 1
@@ -340,6 +344,10 @@ def _assign_names(root: Expr) -> tuple[Expr, dict[str, tuple[Span | None, Action
 
     def leaf(e: Expr) -> Expr:
         if isinstance(e, Var):
+            return e
+        if shared and id(e) in shared:
+            for name, (span, action) in shared[id(e)].items():
+                claim(name, span, action)
             return e
         dom, reach, frontier = set(e.spec.domain()), {e.var}, [e.var]
         for v in frontier:  # grows as bodies are reached
@@ -374,6 +382,53 @@ def parse_expression(text: str) -> Expr:
     """
     named, _ = _assign_names(_parse_root(_Parser(_tokenize(text))))
     return named
+
+
+# The parentheses of a text, skipping names and comments as the tokenizer
+# does; capture 1 is a parenthesis opening a where group "(X where ".
+_BRACKET = re.compile(r"(\()(?=[A-Z]\w* where )|[()]|\{[^}]*\}|--[^\n]*")
+
+
+def _group(text: str) -> tuple[Expr, dict]:
+    """The named term and name table of a where group that is closed and
+    names every prefix, so that nothing around it changes its term."""
+    raw = _parse_root(_Parser(_tokenize(text)))
+    if free_vars(raw) or not all(p.name for p in iter_prefixes(raw)):
+        raise ParseError("a group not closed, or with an unnamed prefix")
+    return _assign_names(raw)
+
+
+def state_parser():
+    """A `parse_expression` for the state texts of one system.  Each
+    outermost "(X where ...)" group text is tokenized, parsed, restricted and
+    named once per parser, and the states holding it share its node (so
+    spans mean nothing here).  A group `_group` refuses, or any error, sends
+    the text through `parse_expression`, so the term equals its term, and an
+    error is its error, except on a text too deep only as a whole."""
+    groups: dict[str, Expr] = {}
+    names: dict[int, dict] = {}  # id of a group's node -> its name table
+
+    def parse(text: str) -> Expr:
+        toks, at, depth, start = [], 0, 0, None
+        try:
+            for m in _BRACKET.finditer(text):
+                if m[1] and start is None:
+                    start, outer = m.start(), depth
+                depth += (m[0] == "(") - (m[0] == ")")
+                if start is not None and depth == outer:
+                    key = text[start:m.end()]
+                    if key not in groups:
+                        node, table = _group(key)
+                        groups[key], names[id(node)] = node, table
+                    toks += _tokenize(text[at:start])[:-1]
+                    toks.append(Token("GROUP", key, (1, 1), node=groups[key]))
+                    at, start = m.end(), None
+            toks += _tokenize(text[at:])
+            return _assign_names(_parse_root(_Parser(toks)), names)[0]
+        except (ParseError, RecursionError):
+            return parse_expression(text)
+
+    return parse
 
 
 @depth_guarded(ParseError)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from importlib import resources
 
 import pytest
 
 from fairlab.labels import parse_label
-from fairlab.lts import GoalSpec, from_exploration, load_lts, named_goal, save_lts
+from fairlab.lts import (GoalSpec, from_exploration, goal_states, load_lts, named_goal,
+                         save_lts)
 from fairlab.parser import ParseError, parse_ccs, parse_expression, roundtrips
 from fairlab.semantics import explore
 from fairlab.syntax import (Choice, Fix, Nil, Prefix, check_fragment,
@@ -257,16 +259,18 @@ def test_900_levels_parse_check_and_explore(src, states):
 def test_deep_nesting_is_a_parse_error_not_a_recursion_error():
     assert len(explore(parse_ccs(_ring(300)), 1000, 1000).states) == 600
     # a capped exploration keeps the deepest states: those right after the
-    # initial one print the whole where-group plus an unfolded chain
-    for k, reached in ((300, {"s2", "s4", "s6"}), (500, None)):
+    # initial one print the whole where-group plus an unfolded chain.  Their
+    # group and chain are parsed apart, so k = 500 nests only half as deep.
+    for k in (300, 500):
         fresh = from_exploration(explore(parse_ccs(_ring(k)), 8, 1000))
         fresh.goals["g"] = GoalSpec.component_at("R", "0")
         for lts in (fresh, load_lts(save_lts(fresh))):
-            if reached is not None:
-                assert named_goal(lts, "g") == reached
-            else:
-                with pytest.raises(ParseError, match="nesting too deep"):
-                    named_goal(lts, "g")
+            assert named_goal(lts, "g") == {"s2", "s4", "s6"}
+    for deep in ("(" * 2000 + "0" + ")" * 2000, "(X where X = " + "a." * 2000 + "X)"):
+        lts = load_lts(json.dumps({"states": [{"id": "s0", "expr": deep}], "transitions": [],
+                                   "initial": ["s0"], "origin": "ccs"}))
+        with pytest.raises(ParseError, match="nesting too deep"):
+            goal_states(lts, GoalSpec.state_is("0"))
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_ccs(_ring(1000))
     with pytest.raises(ParseError, match="nesting too deep"):

@@ -102,6 +102,22 @@ def test_liveness_mutex_custom_tasks(tmp_path, capsys):
                  "--bounds", "x"]) == 2
 
 
+@pytest.mark.parametrize("disjunct, message", [
+    ({"kind": "state_is", "expr": "0"}, "error: state init carries no expression"),
+    ({"kind": "explicit", "states": ["nosuch"]},
+     "error: explicit goal names unknown state id nosuch")])
+def test_liveness_goal_errors(tmp_path, capsys, disjunct, message):
+    """A goal the system cannot evaluate is one error line, not a verdict:
+    the mutex file's states carry no expression, and it has no state nosuch."""
+    doc = json.loads((DATA / "ex-4.2-mutex-free.json").read_text())
+    doc["goals"]["bad"] = {"disjuncts": [disjunct]}
+    path = tmp_path / "bad-goal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["liveness", str(path), "--goal", "bad", "--assume", "P"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+
+
 def test_liveness_phone_justness(tmp_path, capsys):
     out = _ccs2lts(tmp_path, "ex-12.1-phone.ccs")
     # attach the goal by hand: the callee component spent

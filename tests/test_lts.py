@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from fairlab.corpus import build, corpus_entries
 from fairlab.lts import (AnnotationError, GoalSpec, SchemaError, concurrent,
                          from_exploration, goal_states, isomorphic, load_lts,
                          save_lts, validate_side_conditions)
+from fairlab import parser
 from fairlab.parser import parse_ccs
 from fairlab.semantics import explore
-from fairlab.syntax import print_expr
+from fairlab.syntax import Fix, print_expr, walk
 
 
 MUTEX_JSON = """
@@ -165,6 +168,32 @@ def test_goal_component_at_needs_expressions():
         goal_states(lts, GoalSpec.component_at("L", "0"))
 
 
+def test_goal_state_is_needs_expressions():
+    """A state_is goal on states without expressions is an error, as the
+    README promises, not an empty goal that liveness under P answers `no`."""
+    mutex_free = (resources.files("fairlab") / "corpus_data" / "ex-4.2-mutex-free.json")
+    for lts in (load_lts(MUTEX_JSON), load_lts(mutex_free.read_text())):
+        with pytest.raises(AnnotationError, match="carries no expression"):
+            goal_states(lts, GoalSpec.state_is("0"))
+        with pytest.raises(AnnotationError):  # the error repeats: nothing was kept
+            goal_states(lts, GoalSpec.state_is("0"))
+
+
+def test_goal_explicit_unknown_state_is_an_error():
+    lts = load_lts(MUTEX_JSON)
+    assert goal_states(lts, GoalSpec.explicit(["l2", "init"])) == {"l2", "init"}
+    with pytest.raises(SchemaError, match="unknown state id nosuch"):
+        goal_states(lts, GoalSpec.explicit(["l2", "nosuch"]))
+    ex_13_1 = load_lts((resources.files("fairlab") / "corpus_data" / "ex-13.1.json").read_text())
+    with pytest.raises(SchemaError, match="nosuch"):
+        goal_states(ex_13_1, GoalSpec.explicit(["nosuch"]))
+    # every explicit goal of the corpus names states of its own system
+    for entry in corpus_entries():
+        lts = build(entry).lts
+        for goal in lts.goals.values():
+            goal_states(lts, goal)
+
+
 def _ring(k):
     return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
 
@@ -175,8 +204,8 @@ def _grid(n):
 
 
 def test_goal_sets_survive_save_and_load():
-    """A reloaded system reparses every state text, so its goal sets must be
-    those of the freshly explored system.  The texts need not print back
+    """A reloaded system parses every state text again, so its goal sets must
+    be those of the freshly explored system.  The texts need not print back
     unchanged: parsing drops the `where` definitions a state cannot reach."""
     systems = [(build(e).lts, e.goals) for e in corpus_entries() if e.kind == "ccs"]
     for k in (10, 12, 14):
@@ -195,11 +224,32 @@ def test_goal_sets_survive_save_and_load():
         printed = [print_expr(fresh.state_expr(s.id)) for s in fresh.states]
         assert printed == [print_expr(copy.state_expr(s.id)) for s in copy.states]
         reprinted += sum(p != s.expr for p, s in zip(printed, fresh.states))
-        # a state_is goal per state; each prints every state, so systems of
-        # more than 32 states name every k-th state only, 8 states in all
-        stride = 1 if len(fresh.states) <= 32 else len(fresh.states) // 8
-        for s in fresh.states[::stride]:
+        # a state_is goal per state: each state is printed once per system
+        for s in fresh.states:
             goal = GoalSpec.state_is(s.expr)
             matched = goal_states(fresh, goal)
             assert s.id in matched and matched == goal_states(copy, goal)
     assert reprinted >= 12  # the clerk's states, at least
+
+
+@pytest.mark.parametrize("source, count", [(_grid(7), 7), (_ring(14), 1)])
+def test_each_group_text_is_parsed_once_per_system(monkeypatch, source, count):
+    """Building every state term of a system, fresh or reloaded, parses each
+    distinct where-group text once, the states holding a group share its
+    node, and no state text is parsed whole."""
+    calls: list[str] = []
+    group = parser._group
+    monkeypatch.setattr(parser, "_group", lambda text: calls.append(text) or group(text))
+
+    def whole(text):
+        pytest.fail(f"{text!r} was parsed whole")
+
+    monkeypatch.setattr(parser, "parse_expression", whole)
+    fresh = from_exploration(explore(parse_ccs(source)))
+    for lts in (fresh, load_lts(save_lts(fresh))):
+        calls.clear()
+        held = [n for s in lts.states for n, _ in walk(lts.state_expr(s.id))
+                if isinstance(n, Fix)]
+        assert len(calls) == count
+        assert sorted(calls) == sorted({print_expr(n) for n in held})
+        assert len({id(n) for n in held}) == count
