@@ -411,32 +411,41 @@ def concurrent(lts: AugmentedLTS, t: str, u: str) -> bool:
 
 def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
     """An instruction is requested when its component, viewed in isolation,
-    can fire it (no restriction context applies).  What each component can
-    fire in each state is computed once per system."""
-    fires = _fires(lts, instruction, state)
-    if fires is None:
-        raise AnnotationError(f"component {lts.cmp()[instruction]!r} absent in state {state}")
-    return instruction in fires
-
-
-def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
-    """`requested`, with an absent component requesting nothing; a system not
-    of ccs origin, or a state without an expression, still raises."""
-    return instruction in (_fires(lts, instruction, state) or ())
-
-
-def _fires(lts: AugmentedLTS, instruction: str, state: str) -> frozenset[str] | None:
-    """What the instruction's component can fire in the state on its own;
-    None when the state lacks that component."""
+    can fire it (no restriction context applies).  An unknown instruction,
+    or one whose component the state lacks, is an AnnotationError."""
     path = lts.cmp().get(instruction)
     if path is None:
         raise AnnotationError(f"unknown instruction {instruction!r}")
-    return lts.memo(("requests", state, path), _component_fires, lts, state, path)
+    if project(lts.state_expr(state), path) is None:
+        raise AnnotationError(f"component {path!r} absent in state {state}")
+    return instruction in requests(lts, state)
 
 
-def _component_fires(lts: AugmentedLTS, state: str, path: str) -> frozenset[str] | None:
-    comp = project(lts.state_expr(state), path)
-    return None if comp is None else frozenset(i for s in step(comp) for i in s.instr)
+def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
+    """`requested`, with an unknown instruction or an absent component
+    requesting nothing; a system not of ccs origin, or a state without an
+    expression, still raises."""
+    return instruction in requests(lts, state)
+
+
+def requests(lts: AugmentedLTS, state: str) -> frozenset[str]:
+    """R(state): the instructions requested in a state of a ccs-origin
+    system, the union over its components of what each can fire on its own.
+    A component's moves are computed once per distinct component term, keyed
+    by its printed text: hashing a deep term would recurse twice as deep."""
+    return lts.memo(("requests", state), _requests, lts, state)
+
+
+def _requests(lts: AugmentedLTS, state: str) -> frozenset[str]:
+    cmp = lts.cmp()
+    expr, out = lts.state_expr(state), set()
+    for path in dict.fromkeys(cmp.values()):
+        comp = project(expr, path)
+        if comp is not None:
+            fires = lts.memo(("fires", print_expr(comp)),
+                             lambda: {i for s in step(comp) for i in s.instr})
+            out.update(i for i in fires if cmp.get(i) == path)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -502,20 +511,25 @@ def _unique_synchronisation(lts: AugmentedLTS) -> str:
 
 def _enabled_requested(lts: AugmentedLTS) -> str:
     """(4): every instruction enabled in a state is requested there."""
-    return next((f"instruction {i} enabled but not requested in {sid}"
-                 for sid in lts.state_ids()
-                 for i in sorted({j for t in lts.outgoing(sid) for j in t.instr})
-                 if not requested(lts, i, sid)), "")
+    for sid in lts.state_ids():
+        missing = {i for t in lts.outgoing(sid) for i in t.instr} - requests(lts, sid)
+        if missing:
+            return f"instruction {min(missing)} enabled but not requested in {sid}"
+    return ""
 
 
 def _requested_persists(lts: AugmentedLTS) -> str:
     """(5): a requested instruction stays requested across a step that does
     not involve its component."""
-    cmp, instrs = lts.cmp(), lts.instructions()
-    return next((f"instruction {i} requested in {sid} but not after {u.id}"
-                 for sid in lts.state_ids() for i in instrs
-                 if requested_if_present(lts, i, sid) for u in lts.outgoing(sid)
-                 if cmp[i] not in u.comp and not requested(lts, i, u.target)), "")
+    cmp, instrs = lts.cmp(), set(lts.instructions())
+    for sid in lts.state_ids():
+        held = requests(lts, sid) & instrs
+        lost = [(i, k, u.id) for k, u in enumerate(lts.outgoing(sid))
+                for i in held - requests(lts, u.target) if cmp[i] not in u.comp]
+        if lost:  # the first in instruction, then transition order
+            i, _, uid = min(lost)
+            return f"instruction {i} requested in {sid} but not after {uid}"
+    return ""
 
 
 def _persistence(tag: str, field: str, lts: AugmentedLTS) -> str:
@@ -535,34 +549,35 @@ def _interference_reflexive(lts: AugmentedLTS) -> str:
 
 def _solve_cmp(lts: AugmentedLTS) -> str:
     """(3): "" if some cmp: instructions -> components has comp(t) = cmp[instr(t)]
-    for every transition, else why not.  Backtracks over the instruction set."""
-    constraints = [(tuple(sorted(t.instr)), frozenset(t.comp)) for t in lts.transitions]
-    domains: dict[str, set[str]] = {}
+    for every transition, else why not.  Backtracks over the instruction set
+    in name order, without recursion; each distinct (instr, comp) constraint
+    is checked once its last instruction is assigned."""
+    constraints = dict.fromkeys((tuple(sorted(t.instr)), t.comp) for t in lts.transitions)
+    domains: dict[str, frozenset[str]] = {}
+    last: dict[str | None, list] = {}  # instruction -> the constraints it completes
     for instr, comp in constraints:
         for i in instr:
-            domains[i] = domains.setdefault(i, set(comp)) & comp
-    order = sorted(domains)
-    assignment: dict[str, str] = {}
-
-    def consistent() -> bool:
-        return all({assignment[i] for i in instr} == comp for instr, comp in constraints
-                   if all(i in assignment for i in instr))
-
-    def solve(k: int) -> bool:
-        if k == len(order):
-            return consistent()
-        i = order[k]
-        for value in sorted(domains[i]):
-            assignment[i] = value
-            if consistent() and solve(k + 1):
-                return True
-            del assignment[i]
-        return False
-
+            domains[i] = domains.get(i, comp) & comp
+        last.setdefault(instr[-1] if instr else None, []).append((instr, comp))
     for i, dom in domains.items():
         if not dom:
             return f"instruction {i} has no candidate component"
-    return "" if solve(0) else "no consistent cmp assignment found"
+    order = sorted(domains)
+    assignment: dict[str, str | None] = {}
+    k, untried = 0, []  # untried[j]: the values of order[j] not yet tried
+    while 0 <= k < len(order):
+        i = order[k]
+        if k == len(untried):
+            untried.append(iter(sorted(domains[i])))
+        assignment[i] = next(untried[k], None)
+        if assignment[i] is None:  # every value failed: back up
+            untried.pop()
+            k -= 1
+        elif all({assignment[j] for j in instr} == comp for instr, comp in last.get(i, ())):
+            k += 1
+    if k < 0 or any(comp for _, comp in last.get(None, ())):
+        return "no consistent cmp assignment found"
+    return ""
 
 
 def isomorphic(a: AugmentedLTS, b: AugmentedLTS) -> bool:

@@ -318,10 +318,14 @@ def _assign_names(root: Expr, shared: dict | None = None
     from instructions to components.  Auto names are ``base@k`` with k a
     per-base occurrence ordinal, assigned in textual order; explicit
     ``a{n}`` names are kept.  A fix term whose id is a key of `shared` was
-    restricted and named before: it is kept, and its name table taken in.
+    restricted and named before: it is kept, and its name table is read,
+    not copied: auto names after it avoid its names, and the names claimed
+    outside it are checked against it at the end.  The table returned holds
+    only the latter; `state_parser` checks shared tables against each other.
     """
     table: dict[str, tuple[Span | None, ActionLabel]] = {}
     counters: dict[str, int] = {}
+    met: dict[int, dict] = {}  # the shared tables met so far, by node id
 
     def claim(name: str, span: Span | None, action: ActionLabel) -> None:
         # duplicates are legal in reparsed states, where a prefix occurs
@@ -336,7 +340,7 @@ def _assign_names(root: Expr, shared: dict | None = None
         base = str(p.action).lstrip("'").replace("#", "_")
         counters[base] = counters.get(base, 0) + 1
         name = f"{base}@{counters[base]}"
-        while name in table:
+        while name in table or any(name in g for g in met.values()):
             counters[base] += 1
             name = f"{base}@{counters[base]}"
         table[name] = (p.span, p.action)
@@ -346,8 +350,7 @@ def _assign_names(root: Expr, shared: dict | None = None
         if isinstance(e, Var):
             return e
         if shared and id(e) in shared:
-            for name, (span, action) in shared[id(e)].items():
-                claim(name, span, action)
+            met[id(e)] = shared[id(e)]
             return e
         dom, reach, frontier = set(e.spec.domain()), {e.var}, [e.var]
         for v in frontier:  # grows as bodies are reached
@@ -358,7 +361,12 @@ def _assign_names(root: Expr, shared: dict | None = None
         return Fix(e.var, RecSpec(kept), span=e.span)
 
     copy = copier(build, leaf, fresh)
-    return copy(root), table
+    named = copy(root)
+    for g in met.values():
+        for name, (span, action) in table.items():
+            if g.get(name, (span, action))[1] != action:
+                raise ParseError(f"instruction name {name!r} reused with a different action", span)
+    return named, table
 
 
 def _parse_root(p: _Parser) -> Expr:
@@ -407,9 +415,11 @@ def state_parser():
     error is its error, except on a text too deep only as a whole."""
     groups: dict[str, Expr] = {}
     names: dict[int, dict] = {}  # id of a group's node -> its name table
+    actions: dict[str, ActionLabel] = {}  # each group name's first action
+    clash: set[str] = set()  # the group names given another action too
 
     def parse(text: str) -> Expr:
-        toks, at, depth, start = [], 0, 0, None
+        toks, at, depth, start, keys = [], 0, 0, None, set()
         try:
             for m in _BRACKET.finditer(text):
                 if m[1] and start is None:
@@ -420,9 +430,15 @@ def state_parser():
                     if key not in groups:
                         node, table = _group(key)
                         groups[key], names[id(node)] = node, table
+                        clash.update(n for n, (_, a) in table.items()
+                                     if actions.setdefault(n, a) != a)
                     toks += _tokenize(text[at:start])[:-1]
                     toks.append(Token("GROUP", key, (1, 1), node=groups[key]))
                     at, start = m.end(), None
+                    keys.add(key)
+            tables = [names[id(groups[key])] for key in keys]
+            if any(len({t[n][1] for t in tables if n in t}) > 1 for n in clash):
+                raise ParseError("two groups give one name different actions")
             toks += _tokenize(text[at:])
             return _assign_names(_parse_root(_Parser(toks)), names)[0]
         except (ParseError, RecursionError):

@@ -3,6 +3,7 @@ probabilistic estimation, and hierarchy checking."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -410,22 +411,36 @@ def fair_extend(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
 def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
                max_steps: int = 20000) -> Lasso | None:
     """Run the scheduler to a (state, queue-digest) repetition whose window is
-    a strongly fair cycle; the infinite schedule is fair, so one exists."""
+    a strongly fair cycle; the infinite schedule is fair, so one exists.
+
+    A window is strongly fair (`classify_lasso` under S) when every task
+    enabled at one of its states occurs in it.  The run records each task's
+    last enabling and last occurring step, so a window is judged over the
+    tasks without walking it, and a task a window owes rules out every start
+    after that task's last occurrence."""
     prefix.validate(lts)
     seen: dict[tuple, list[int]] = {}
     steps = list(prefix.steps)
-    strong = Assumption("S", "custom", ts)
+    enabled_at: dict[int, int] = {}  # task index -> last step enabling it
+    occurs_at: dict[int, int] = {}  # task index -> last step taking it
     for taken, queue in itertools.islice(_schedule(lts, prefix, ts), max(max_steps, 0)):
+        for k in enabled_tasks(lts, ts, taken.source):
+            enabled_at[k] = len(steps)
+        for k in ts.containing.get(taken.id, ()):
+            occurs_at[k] = len(steps)
         steps.append(taken.id)
         # recurrence point: the target and the queue's task names in
-        # first-occurrence order, right after the step
-        key = (taken.target, tuple(dict.fromkeys(queue)))
-        for earlier in reversed(seen.get(key, [])):
-            window = tuple(steps[earlier:])
-            # strong fairness reads the cycle only, so the stem is left out
-            if classify_lasso(lts, Lasso(taken.target, (), window), strong):
-                return Lasso(prefix.start, tuple(steps[:earlier]), window)
-        seen.setdefault(key, []).append(len(steps))
+        # first-occurrence order, right after the step; windows start there
+        starts = seen.setdefault((taken.target, tuple(dict.fromkeys(queue))), [])
+        end = len(starts)
+        while end:  # the latest untried start first
+            start = starts[end - 1]
+            owed = [last for k, at in enabled_at.items()
+                    if (last := occurs_at.get(k, -1)) < start <= at]
+            if not owed:
+                return Lasso(prefix.start, tuple(steps[:start]), tuple(steps[start:]))
+            end = bisect.bisect_right(starts, min(owed), 0, end)
+        starts.append(len(steps))
     return None  # deadlocked, or no fair recurrence within max_steps
 
 

@@ -288,7 +288,8 @@ def _ring(k):
 
 def test_requested_table_matches_projection():
     systems = [b.lts for b in build_all() if b.lts.origin == "ccs"]
-    systems += [from_exploration(explore(parse_ccs(src))) for src in (_ring(6), _grid(4))]
+    systems += [from_exploration(explore(parse_ccs(src)))
+                for src in [_ring(k) for k in range(10, 15)] + [_grid(n) for n in range(5, 8)]]
     answers = {True: 0, False: 0, "error": 0}
     for lts in systems:
         for i in lts.instructions() + ["no-such-instruction"]:

@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairlab.cli import main
-from fairlab.lts import from_exploration, load_lts, named_goal, save_lts
+from fairlab.lts import (AnnotationError, from_exploration, load_lts, named_goal, requested,
+                         save_lts)
 from fairlab.parser import parse_ccs
 from fairlab.paths import Assumption, Lasso, PathPrefix
 from fairlab.semantics import explore
@@ -243,6 +245,39 @@ def test_validate_skips_what_it_cannot_check(tmp_path, capsys):
     lines = _validate_lines(cut_lts, capsys, 0)
     assert [line for line in lines if not line.startswith("[pass]")] == [
         "[skip] (#) " + cut.format("components"), "[skip] (6) " + cut.format("instructions")]
+
+
+@pytest.mark.parametrize("kind, item, key, value, failures, query, error", [
+    ("transitions", "t0", "instr", ["zz@9"],
+     ["[FAIL] (4) enabled implies requested  (instruction zz@9 enabled but not requested in s0)"],
+     ("zz@9", "s0"), "unknown instruction 'zz@9'"),
+    ("states", "s1", "expr", "0",
+     ["[FAIL] (4) enabled implies requested  (instruction c@1 enabled but not requested in s1)",
+      "[FAIL] (5) requested persists  (instruction c@1 requested in s0 but not after t1)"],
+     ("c@1", "s1"), "component 'R' absent in state s1"),
+])
+def test_validate_reports_what_is_not_requested(tmp_path, capsys, kind, item, key, value,
+                                                failures, query, error):
+    """An instruction cmp does not know, or a component a state lacks, is
+    not requested: (4) and (5) fail with their first failure, the other
+    lines print as on the intact system, and `--requires (4)` skips.  The
+    library's `requested` still raises on such a query."""
+    spec, path = tmp_path / "xy.ccs", tmp_path / "xy.json"
+    spec.write_text("(X | Y) where X = a.X + b.0, Y = c.Y")
+    assert main(["ccs2lts", str(spec), str(path)]) == 0
+    intact = _validate_lines(path, capsys, 0)
+    doc = json.loads(path.read_text())
+    next(x for x in doc[kind] if x["id"] == item)[key] = value
+    path.write_text(json.dumps(doc))
+    lines = _validate_lines(path, capsys, 1)
+    assert len(lines) == len(intact) == 8
+    assert [line for line in lines if line not in intact] == failures
+    assert main(["hierarchy", str(path), "--stronger", "S:A", "--weaker", "S:T",
+                 "--requires", "(4)"]) == 1
+    assert json.loads(capsys.readouterr().out)["skipped"] == (
+        "side condition (4) does not validate")
+    with pytest.raises(AnnotationError, match=re.escape(error)):
+        requested(load_lts(path.read_text()), *query)
 
 
 def test_cli_defaults_are_the_library_defaults(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from fairlab.corpus import build, corpus_entries
 from fairlab.lts import (AnnotationError, GoalSpec, SchemaError, concurrent,
                          from_exploration, goal_states, isomorphic, load_lts,
                          save_lts, validate_side_conditions)
-from fairlab import parser
+from fairlab import lts as lts_module, parser
 from fairlab.parser import parse_ccs
 from fairlab.semantics import explore
 from fairlab.syntax import Fix, print_expr, walk
@@ -253,3 +253,24 @@ def test_each_group_text_is_parsed_once_per_system(monkeypatch, source, count):
         assert len(calls) == count
         assert sorted(calls) == sorted({print_expr(n) for n in held})
         assert len({id(n) for n in held}) == count
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_side_conditions_step_each_component_term_once(monkeypatch, n):
+    """Validation asks what each distinct component term can fire once: a
+    fresh grid(n) has n where-group components and the finished component
+    0, so n + 1 `step` calls, not one per state and component."""
+    calls = []
+    step = lts_module.step
+    monkeypatch.setattr(lts_module, "step", lambda e: calls.append(e) or step(e))
+    reports = validate_side_conditions(from_exploration(explore(parse_ccs(_grid(n)))))
+    assert all(r.holds for r in reports)
+    assert len(calls) == n + 1
+
+
+def test_side_conditions_on_a_component_nested_600_deep():
+    """The request table keys a component by its printed text: hashing a
+    term nested 600 deep would exhaust the stack."""
+    source = "X | Y where X = " + " + ".join(f"a{i}.X" for i in range(600)) + ", Y = b.0"
+    reports = validate_side_conditions(from_exploration(explore(parse_ccs(source))))
+    assert all(r.holds for r in reports)

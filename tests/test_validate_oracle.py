@@ -27,8 +27,9 @@ import pytest
 
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
-from fairlab.lts import (AugmentedLTS, ConditionReport, State, Transition, from_exploration,
-                         requested, requested_if_present, validate_side_conditions)
+from fairlab.lts import (AugmentedLTS, ConditionReport, State, Transition, _solve_cmp as solve_cmp,
+                         from_exploration, requested, requested_if_present,
+                         validate_side_conditions)
 from fairlab.parser import parse_ccs
 from fairlab.semantics import explore
 
@@ -253,3 +254,35 @@ def test_an_unchecked_condition_never_holds(systems):
                 assert not report.holds and report.detail, (name, report)
                 skipped += 1
     assert skipped
+
+
+def _constrained(*constraints: tuple[str, str]) -> AugmentedLTS:
+    """A system with two transitions per (instr, comp) constraint, given as
+    letter strings, one letter per instruction or component."""
+    pairs = [c for c in constraints for _ in range(2)]
+    transitions = [Transition(f"t{k}", f"s{k % 2}", f"s{1 - k % 2}", parse_label("a"),
+                              frozenset(instr), frozenset(comp), True)
+                   for k, (instr, comp) in enumerate(pairs)]
+    return AugmentedLTS([State("s0", None), State("s1", None)], transitions, ["s0"])
+
+
+@pytest.mark.parametrize("constraints, detail", [
+    # x = P is tried first, and y's only value P then gives {x, y} the image {P}
+    ((("xy", "PQ"), ("y", "P")), ""),
+    ((("x", "P"), ("y", "P"), ("xy", "PQ")), "no consistent cmp assignment found"),
+    ((("x", "P"), ("x", "Q")), "instruction x has no candidate component"),
+    ((("", ""), ("x", "P")), ""),
+    ((("", "P"), ("x", "P")), "no consistent cmp assignment found"),
+])
+def test_cmp_search_agrees_with_the_replaced_one(constraints, detail):
+    lts = _constrained(*constraints)
+    assert solve_cmp(lts) == detail
+    assert _solve_cmp(lts) == (not detail, detail)
+
+
+def test_cmp_search_takes_no_frame_per_instruction():
+    """3,000 instructions are more than the interpreter's frame limit."""
+    transitions = [Transition(f"t{k}", "s0", "s0", parse_label("a"), frozenset({f"i{k}"}),
+                              frozenset({"L" if k % 2 else "R"}), True) for k in range(3000)]
+    lts = AugmentedLTS([State("s0", None)], transitions, ["s0"])
+    assert solve_cmp(lts) == ""
