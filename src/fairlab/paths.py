@@ -257,15 +257,18 @@ def just_stem(lts: AugmentedLTS, start: str, stem: tuple[str, ...],
 
 
 def classify_finite(lts: AugmentedLTS, prefix: PathPrefix, assumption: Assumption) -> bool:
-    """Completeness of a finite path: nothing the assumption promises is
-    still possible at the last state."""
+    """Completeness of a finite path: `complete_at` its last state."""
     if not assumption.pathwise():
         raise ValueError(f"{assumption.kind} is a liveness-level assumption, "
                          "not a path predicate")
     prefix.validate(lts)
-    reactive = assumption.reactive
-    last = prefix.end(lts)
-    outs = lts.outgoing(last, reactive)
+    return complete_at(lts, prefix.end(lts), assumption)
+
+
+def complete_at(lts: AugmentedLTS, state: str, assumption: Assumption) -> bool:
+    """A finite path ending in the state is complete: nothing the (pathwise)
+    assumption promises is still possible there."""
+    outs = lts.outgoing(state, assumption.reactive)
     if assumption.kind in ("P", "Just"):
         return not outs
     ts = resolve_tasks(lts, assumption)

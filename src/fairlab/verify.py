@@ -9,11 +9,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
                   read_json, validate_side_conditions)
-from .paths import (Assumption, Lasso, PathPrefix, classify_finite,
-                    classify_lasso, enabled_tasks, just_stem)
+from .paths import (Assumption, Lasso, PathPrefix, classify_lasso, complete_at,
+                    enabled_tasks, just_stem)
 
 
 @dataclass
@@ -94,7 +95,8 @@ def agef(lts: AugmentedLTS, goal: frozenset[str], reactive: bool = False) -> boo
 
 def _hopeless(lts: AugmentedLTS, goal: frozenset[str], reactive: bool) -> set[str]:
     """Reachable states from which the goal is unreachable."""
-    return reachable_states(lts).difference(_co_reachable(lts, goal, reactive))
+    reachable = lts.memo(("reachable",), reachable_states, lts)
+    return reachable.difference(_co_reachable(lts, goal, reactive))
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +133,40 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
         return Verdict("no", name, goal_name, witness=PathPrefix(start, steps),
                        notes=[note, "witness ends where the goal is unreachable"])
 
-    # states reachable from a non-goal initial state without touching the goal
-    region = reachable_states(lts, {s for s in lts.initial if s not in goal},
-                              lambda t: t.target not in goal)
-    region_out = {s: [t for t in lts.outgoing(s) if t.target in region] for s in region}
+    region = lts.memo(("region", goal), _region, lts, goal)
 
     # (a) finite complete counterexamples
-    for sid in sorted(region):
-        if classify_finite(lts, PathPrefix(sid), assumption):
+    for sid in region.ordered:
+        if complete_at(lts, sid, assumption):
             # every region state is reachable inside the region
-            start, steps = _stem_into(lts, region, {sid})
+            start, steps = _stem_into(lts, region.states, {sid})
             return Verdict("no", name, goal_name, witness=PathPrefix(start, steps),
                            notes=["complete finite run avoiding the goal"])
 
     # (b) infinite counterexamples via support enumeration
-    witness = _fair_cycle_witness(lts, region, region_out, assumption)
+    witness = _fair_cycle_witness(lts, region, assumption)
     if witness is not None:
         return Verdict("no", name, goal_name, witness=witness,
                        notes=["fair infinite run avoiding the goal"])
     return Verdict("yes", name, goal_name)
+
+
+class _Region(NamedTuple):
+    """The states reachable from a non-goal initial state without touching the
+    goal; it depends on the goal and the transitions only (`lts.memo`)."""
+    states: frozenset[str]
+    ordered: list[str]  # the states in sorted order
+    out: dict[str, list]  # each state's transitions that stay in the region
+    succ: dict[str, list[str]]  # each state's successors in the region, sorted
+    sccs: list[list[str]]  # its strongly connected components, by Tarjan
+
+
+def _region(lts: AugmentedLTS, goal: frozenset[str]) -> _Region:
+    states = frozenset(reachable_states(lts, {s for s in lts.initial if s not in goal},
+                                        lambda t: t.target not in goal))
+    out = {s: [t for t in lts.outgoing(s) if t.target in states] for s in states}
+    succ = {s: sorted({t.target for t in ts}) for s, ts in out.items()}
+    return _Region(states, sorted(states), out, succ, _scc_partition(states, succ.__getitem__))
 
 
 def _shortest(starts: list, moves, done):
@@ -293,24 +310,19 @@ def _covering_cycle(edges: list, entry: str):
     return walk + list(path(at, entry))
 
 
-def _fair_cycle_witness(lts: AugmentedLTS, region: set[str], region_out,
+def _fair_cycle_witness(lts: AugmentedLTS, region: _Region,
                         assumption: Assumption) -> Lasso | None:
-    succ_map = {s: sorted({t.target for t in region_out[s]}) for s in region}
-
-    def succ(v: str):
-        return succ_map.get(v, [])
-
-    for scc in _scc_partition(region, succ):
-        for cset_list in _strongly_connected_subsets(scc, succ):
+    for scc in region.sccs:
+        for cset_list in _strongly_connected_subsets(scc, region.succ.__getitem__):
             cset = set(cset_list)
-            edges = [t for s in cset_list for t in region_out[s] if t.target in cset]
+            edges = [t for s in cset_list for t in region.out[s] if t.target in cset]
             entry = cset_list[0]
             cycle = _covering_cycle(edges, entry)
             # quick cycle-level test with an empty stem anchored at the entry
             probe = Lasso(entry, (), tuple(cycle))
             if not classify_lasso(lts, probe, assumption):
                 continue
-            stem = _find_stem(lts, region, entry, cycle, assumption)
+            stem = _find_stem(lts, region.states, entry, cycle, assumption)
             if stem is None:
                 continue
             lasso = Lasso(stem[0], tuple(stem[1]), tuple(cycle))

@@ -10,10 +10,12 @@ from fairlab.corpus import build, corpus_entries
 from fairlab.lts import (AnnotationError, GoalSpec, SchemaError, concurrent,
                          from_exploration, goal_states, isomorphic, load_lts,
                          save_lts, validate_side_conditions)
-from fairlab import lts as lts_module, parser
+from fairlab import lts as lts_module, parser, paths, verify
 from fairlab.parser import parse_ccs
+from fairlab.paths import parse_assumption
 from fairlab.semantics import explore
 from fairlab.syntax import Fix, print_expr, walk
+from fairlab.tasks import NOTIONS
 
 
 MUTEX_JSON = """
@@ -266,6 +268,28 @@ def test_side_conditions_step_each_component_term_once(monkeypatch, n):
     reports = validate_side_conditions(from_exploration(explore(parse_ccs(_grid(n)))))
     assert all(r.holds for r in reports)
     assert len(calls) == n + 1
+
+
+def test_liveness_builds_one_region_table_per_goal(monkeypatch):
+    """The 28 assumptions the benchmark asks of a fresh grid(5) build the
+    goal-avoiding region and its SCC partition once, walk the whole system
+    once for the reachability rows, and build no path prefix per state."""
+    calls = {"_scc_partition": 0, "reachable_states": 0, "classify_finite": 0}
+    for module, name in ((verify, "_scc_partition"), (verify, "reachable_states"),
+                         (paths, "classify_finite")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real:
+                            calls.update({name: calls[name] + 1}) or real(*args))
+    monkeypatch.setattr(verify, "classify_finite", paths.classify_finite, raising=False)
+    lts = from_exploration(explore(parse_ccs(_grid(5))))
+    goal = goal_states(lts, GoalSpec.state_is(" | ".join(["0"] * 5)))
+    matrix = (["P"] + [f"{x}:{y}" for x in "JWS" for y in NOTIONS]
+              + ["just", "SWI", "ST", "Fu", "Pr"]
+              + [f"{a},reactive" for a in ("P", "W:A", "S:C", "just")])
+    for text in matrix:
+        verify.liveness(lts, goal, parse_assumption(text))
+    assert len(matrix) == 28
+    assert calls == {"_scc_partition": 1, "reachable_states": 2, "classify_finite": 0}
 
 
 def test_side_conditions_on_a_component_nested_600_deep():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ import pytest
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition,
-                         named_goal, validate_side_conditions)
+                         load_lts, named_goal, save_lts, validate_side_conditions)
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite, classify_lasso,
-                           just_stem)
-from fairlab.tasks import extract_tasks
+                           just_stem, parse_assumption)
+from fairlab.tasks import NOTIONS, extract_tasks
 from fairlab.verify import (Bounds, agef, fair_extend, fair_lasso, figure2_arrows,
                             hierarchy_check, liveness, loopfree_witness,
                             rooted_walks, simple_cycles_at, simulate)
@@ -446,3 +447,65 @@ def test_out_of_range_caps_and_bounds_are_rejected():
     with pytest.raises(ValueError, match="length >= 0, got -1"):
         loopfree_witness(lts, frozenset(), -1)
     assert loopfree_witness(lts, frozenset(), 0) == PathPrefix("init")
+
+
+def test_liveness_on_an_empty_region_reads_no_annotations():
+    """When every initial state is in the goal, the goal-avoiding region is
+    empty and no run is judged, so a system without instr or comp annotations
+    answers yes; once the region has a state, the same queries need them."""
+    needy = [parse_assumption(a) for a in ("J:A", "W:I", "S:C", "SWI")]
+    for order in ((frozenset({"s0"}), frozenset({"s1"})),
+                  (frozenset({"s1"}), frozenset({"s0"}))):
+        lts = AugmentedLTS([State("s0", None), State("s1", None)],
+                           [Transition("t0", "s0", "s0", parse_label("a"), None, None, False),
+                            Transition("t1", "s0", "s1", parse_label("b"), None, None, False)],
+                           ["s0"])
+        for goal in order:
+            for a in needy:
+                if goal == {"s0"}:
+                    assert liveness(lts, goal, a).holds == "yes", a
+                else:
+                    with pytest.raises(AnnotationError):
+                        liveness(lts, goal, a)
+
+
+# Every built-in assumption, plain and reactive.
+_MATRIX = [parse_assumption(text + reactive)
+           for text in ["P", "just", "SWI", "Fu", "ST", "Pr"]
+           + [f"{x}:{y}" for x in "JWS" for y in NOTIONS]
+           for reactive in ("", ",reactive")]
+
+
+def _verdict_text(lts, goal, assumption) -> str:
+    try:
+        return json.dumps(liveness(lts, goal, assumption).to_json())
+    except AnnotationError as exc:
+        return f"AnnotationError: {exc}"
+
+
+def _order_independent(lts, goals, rng, problems, where) -> None:
+    """The matrix over several goals in a shuffled order on one system object
+    gives the verdicts of a reloaded copy that has answered nothing yet."""
+    queries = [(goal, a) for goal in goals for a in _MATRIX]
+    rng.shuffle(queries)
+    text = save_lts(lts)
+    for goal, a in queries:
+        shared, fresh = _verdict_text(lts, goal, a), _verdict_text(load_lts(text), goal, a)
+        if shared != fresh:
+            problems.append((where, sorted(goal), str(a), shared, fresh))
+
+
+def test_liveness_verdicts_do_not_depend_on_query_order():
+    rng, problems, systems = random.Random(19), [], 0
+    for built in build_all():
+        lts = built.lts
+        if lts.truncated:
+            continue
+        goals = [named_goal(lts, name) for name in sorted(lts.goals)]
+        _order_independent(lts, goals + [frozenset()], rng, problems, built.entry.id)
+        systems += 1
+    for k, (lts, goal) in enumerate(_random_goal_systems()[:200]):
+        _order_independent(lts, [goal, frozenset(lts.state_ids()) - goal], rng, problems, k)
+    assert not problems, problems[:5]
+    assert systems > 20, systems
+
