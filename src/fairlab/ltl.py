@@ -306,43 +306,51 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
     """Satisfaction on the infinite path denoted by a converted-system lasso.
 
     The path has one suffix class per stem position and one per cycle
-    position.  Every cycle class reaches every other, so F and G over the
-    cycle are one any/all, and the stem classes fold backwards from that
-    value: O(|formula| x |lasso|) time.  A chain is one node, so its length
-    costs no Python stack.
+    position.  A subformula's value is one int with bit i set when it holds
+    at suffix class i, stem classes first.  Every cycle class reaches every
+    other, so F and G test the cycle bits once, and a stem class reads the
+    last stem bit set (F) or unset (G) from it on: one `bit_length`.  So
+    evaluation costs |formula| integer operations plus one `holds` lookup
+    per atom and suffix class.  Every operand of a chain is evaluated, so
+    an unknown atom raises wherever it stands; a chain is one node, so its
+    length costs no Python stack.
     """
     lasso.validate(conv.lts)
     # the state of each suffix class: stem positions, then cycle positions
     states = [lasso.start] + [conv.lts.transition(tid).target
                               for tid in lasso.stem + lasso.cycle[:-1]]
-    m = len(lasso.stem)
+    full = (1 << len(states)) - 1
+    stem = (1 << len(lasso.stem)) - 1
+    cyc = full & ~stem
+    bits = [1 << i for i in range(len(states))]
+    holds = conv.holds
 
-    def sat(f: Formula) -> list[bool]:
+    def sat(f: Formula) -> int:
         op = f.op
         if op in ("true", "false"):
-            return [op == "true"] * len(states)
+            return full if op == "true" else 0
         if op == "atom":
-            return [conv.holds(s, f.atom) for s in states]
+            out = 0
+            for bit, s in zip(bits, states):
+                if holds(s, f.atom):
+                    out |= bit
+            return out
         if op == "not":
-            return [not v for v in sat(f.args[0])]
-        if op == "implies":
+            return full & ~sat(f.args[0])
+        if op in ("and", "or", "implies"):
             out, *rest = map(sat, f.args)
-            for vs in rest:
-                out = [not a_ or b for a_, b in zip(out, vs)]
+            for v in rest:
+                out = out & v if op == "and" else out | v if op == "or" else (full & ~out) | v
             return out
-        if op in ("and", "or"):
-            combine = all if op == "and" else any
-            return [combine(vs) for vs in zip(*map(sat, f.args))]
-        if op in ("F", "G"):
-            combine = any if op == "F" else all
-            out = sat(f.args[0])
-            out[m:] = [combine(out[m:])] * (len(out) - m)
-            for i in range(m - 1, -1, -1):
-                out[i] = combine((out[i], out[i + 1]))
-            return out
+        if op == "F":
+            v = sat(f.args[0])
+            return full if v & cyc else (1 << v.bit_length()) - 1
+        if op == "G":
+            v = sat(f.args[0])
+            return full & ~((1 << (stem & ~v).bit_length()) - 1) if v & cyc == cyc else 0
         raise FormulaError(f"unknown operator {f.op}")
 
-    return sat(formula)[0]
+    return bool(sat(formula) & 1)
 
 
 def weak_fairness_formula(ts: TaskSet) -> Formula:

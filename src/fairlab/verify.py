@@ -7,6 +7,7 @@ import bisect
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -395,15 +396,23 @@ def _schedule(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
     """The priority-queue scheduler from the end of prefix.  Each step appends
     a column, the names of the tasks enabled now in name order, to the queue;
     pops the earliest entry whose task is enabled now; and takes that task's
-    member with the least id.  Yields (transition taken, queue) until
-    deadlock; the queue is live, so read it before the next step."""
-    queue: list[str] = []
+    member with the least id.  Yields (transition taken, the queue's task
+    names in first-occurrence order) until deadlock.  The queue is kept as
+    each name's entry positions in order, so a step's cost grows with the
+    number of task names, not with the queue."""
+    pending: dict[str, deque[int]] = {}
+    position = itertools.count()
     at = prefix.end(lts)
     while now := {ts.tasks[k].name for k in enabled_tasks(lts, ts, at)}:
-        queue.extend(sorted(now))
-        task = ts.get(queue.pop(next(k for k, name in enumerate(queue) if name in now)))
+        for name in sorted(now):
+            pending.setdefault(name, deque()).append(next(position))
+        name = min(now, key=lambda k: pending[k][0])
+        pending[name].popleft()
+        if not pending[name]:
+            del pending[name]
+        task = ts.get(name)
         taken = min((t for t in lts.outgoing(at) if t.id in task.members), key=_tid_key)
-        yield taken, queue
+        yield taken, tuple(sorted(pending, key=lambda k: pending[k][0]))
         at = taken.target
 
 
@@ -435,7 +444,7 @@ def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
     steps = list(prefix.steps)
     enabled_at: dict[int, int] = {}  # task index -> last step enabling it
     occurs_at: dict[int, int] = {}  # task index -> last step taking it
-    for taken, queue in itertools.islice(_schedule(lts, prefix, ts), max(max_steps, 0)):
+    for taken, order in itertools.islice(_schedule(lts, prefix, ts), max(max_steps, 0)):
         for k in enabled_tasks(lts, ts, taken.source):
             enabled_at[k] = len(steps)
         for k in ts.containing.get(taken.id, ()):
@@ -443,7 +452,7 @@ def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
         steps.append(taken.id)
         # recurrence point: the target and the queue's task names in
         # first-occurrence order, right after the step; windows start there
-        starts = seen.setdefault((taken.target, tuple(dict.fromkeys(queue))), [])
+        starts = seen.setdefault((taken.target, order), [])
         end = len(starts)
         while end:  # the latest untried start first
             start = starts[end - 1]

@@ -329,6 +329,22 @@ def test_ltl_cli(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
+@pytest.mark.parametrize("formula, error", [
+    ("false & bogus:x", "unknown atomic proposition 'bogus:x'"),
+    ("true | occurs:A:nosuch", "unknown task 'A:nosuch' in atomic proposition"),
+    ("F(true) | bogus:y", "unknown atomic proposition 'bogus:y'"),
+])
+def test_ltl_evaluates_every_operand_of_a_chain(tmp_path, capsys, formula, error):
+    # the first operand decides the chain, and the bad atom after it still raises
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"start": "init", "stem": [],
+                                 "cycle": ["m1", "m2", "m3"]}))
+    code = main(["ltl", str(DATA / "ex-4.2-mutex-mem.json"), "--lasso", str(lasso),
+                 "--formula", formula])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
 def test_readme_ltl_example_runs_on_a_saved_corpus_system(tmp_path, capsys):
     # the README's command line, verbatim, on ex-4.1 (z | X where X = i.X)
     readme = (SRC.parent / "README.md").read_text()

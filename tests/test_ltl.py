@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
+import re
 
 import pytest
 
+from fairlab import ltl
 from fairlab.corpus import build_all, t_by
 from fairlab.lts import AnnotationError, from_exploration
 from fairlab.ltl import (FormulaError, Formula, G, atom, conj, convert_lasso, disj,
@@ -282,14 +286,95 @@ def test_linear_eval_matches_reachability_oracle():
                 formula = _random_formula(rng, atoms, 4)
                 try:
                     expected = _oracle_eval(conv, classo, formula)
-                except FormulaError:
-                    with pytest.raises(FormulaError):
+                except FormulaError as exc:
+                    with pytest.raises(FormulaError, match=f"^{re.escape(str(exc))}$"):
                         eval_ltl(conv, classo, formula)
                     errors += 1
                     continue
                 assert eval_ltl(conv, classo, formula) == expected, (lasso, str(formula))
                 compared += 1
     assert compared > 1000 and errors > 0 and empty_stems > 0 and unit_cycles > 0
+
+
+def _outcome(evaluate, conv, lasso, formula):
+    """The value, or the text of the FormulaError raised."""
+    try:
+        return evaluate(conv, lasso, formula)
+    except FormulaError as exc:
+        return f"FormulaError: {exc}"
+
+
+@functools.cache
+def _long_cases():
+    """Lassos of more than 64 suffix classes, so that masks span several
+    machine words, each with drawn formulas over atoms that change along it.
+
+    A 70-step ring gives a converted lasso with an empty stem and a 70-step
+    cycle (not rooted: it starts at a transition copy), the rooted one with
+    a one-step stem, and one entering the ring after five steps; a 70-step
+    walk into a b-self-loop gives a 71-step stem and a unit cycle, rooted
+    and starting at the walk's fifth transition."""
+    n, rng, cases = 70, random.Random(2009), []
+    chain = ".".join(f"a{i}" for i in range(n))
+    ring = from_exploration(explore(parse_ccs(f"X where X = {chain}.X")))
+    walk = from_exploration(explore(parse_ccs(f"{chain}.(Y where Y = b.Y)")))
+    for lts in (ring, walk):
+        conv = ltl_convert(lts)
+        tids = [t.id for t in lts.transitions]  # in walk order from the root
+        init = lts.initial[0]
+        if lts is ring:
+            lassos = [Lasso(f"t/{tids[-1]}", (), tuple(
+                f"c/{a}/{b}" for a, b in zip(tids[-1:] + tids[:-1], tids))),
+                convert_lasso(conv, Lasso(init, (), tuple(tids))),
+                convert_lasso(conv, Lasso(init, tuple(tids[:5]), tuple(tids[5:] + tids[:5])))]
+        else:
+            rooted = convert_lasso(conv, Lasso(init, tuple(tids[:-1]), (tids[-1],)))
+            lassos = [rooted, Lasso(f"t/{tids[4]}", rooted.stem[5:], rooted.cycle)]
+        # actions at both ends of the walk, so that bits past 64 matter
+        spread = [f"{kind}:A:a{i}" for kind in ("enabled", "occurs")
+                  for i in (0, 3, 6, 62, 63, 64, 65, 67, 69)]
+        atoms = spread + ["enabled:A:b", "occurs:A:b", f"state:{lts.state_ids()[66]}",
+                          "bogus:x", "occurs:A:nosuch"]
+        fixed = [op(atom(p)) for p in spread
+                 for op in (F, G, lambda f: G(F(f)), lambda f: F(G(f)))]
+        fixed += [G(atom("enabled:A:b")), F(atom("occurs:A:b")),
+                  parse_formula("false & bogus:x"), parse_formula("F(true) | bogus:y")]
+        for lasso in lassos:
+            assert len(lasso.stem) + len(lasso.cycle) > 64
+            cases += [(conv, lasso, f, _outcome(_oracle_eval, conv, lasso, f))
+                      for f in fixed + [_random_formula(rng, atoms, 4) for _ in range(40)]]
+    return cases
+
+
+def _differences(evaluate):
+    return [(str(lasso), str(formula)) for conv, lasso, formula, expected in _long_cases()
+            if _outcome(evaluate, conv, lasso, formula) != expected]
+
+
+def test_eval_matches_reachability_oracle_past_64_suffix_classes():
+    cases = _long_cases()
+    assert any(not lasso.stem for _, lasso, _, _ in cases)
+    assert any(len(lasso.stem) >= 64 and len(lasso.cycle) == 1 for _, lasso, _, _ in cases)
+    outcomes = [expected for *_, expected in cases]
+    assert {True, False} <= set(outcomes)
+    assert "FormulaError: unknown atomic proposition 'bogus:x'" in outcomes
+    assert "FormulaError: unknown task 'A:nosuch' in atomic proposition" in outcomes
+    assert _differences(eval_ltl) == []
+
+
+@pytest.mark.parametrize("mutation", [
+    # F that does not fold the stem: a stem class sees only itself
+    ("full if v & cyc else (1 << v.bit_length()) - 1", "full if v & cyc else v"),
+    # G that ignores a zero in the stem
+    ("full & ~((1 << (stem & ~v).bit_length()) - 1) if", "full if"),
+])
+def test_mutant_kernels_fail_the_oracle(mutation):
+    old, new = mutation
+    source = inspect.getsource(ltl.eval_ltl)
+    assert source.count(old) == 1
+    namespace = dict(vars(ltl))
+    exec(compile(source.replace(old, new), ltl.__file__, "exec"), namespace)
+    assert _differences(namespace["eval_ltl"])
 
 
 def test_weak_fairness_of_many_tasks_needs_no_deep_recursion():
