@@ -180,10 +180,10 @@ def cmd_hierarchy(args) -> int:
     stronger = parse_assumption(args.stronger, partial(_task_file, lts))
     weaker = parse_assumption(args.weaker, partial(_task_file, lts))
     bounds = Bounds()
-    if args.bounds:
-        stem, _, cycle = args.bounds.partition(",")
+    if args.bounds is not None:
+        stem, comma, cycle = args.bounds.partition(",")
         try:
-            stem, cycle = int(stem), int(cycle or stem)
+            stem, cycle = int(stem), int(cycle if comma else stem)
         except ValueError:
             raise SystemExit2(f"--bounds needs STEM[,CYCLE] integers, "
                               f"not {args.bounds!r}") from None

@@ -520,20 +520,10 @@ def _simple_cycles_at(lts: AugmentedLTS, start: str, max_len: int) -> list[tuple
     return out
 
 
-def _cycle_verdict(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
-                   a: Assumption) -> bool:
-    """Classification of the infinite path cycle^omega (cached on the system).
-
-    For justness this is the cycle part only; the stem is judged by
-    `paths.just_stem`.  Every other assumption is stem-insensitive, so this is
-    the verdict of any lasso carrying this cycle.
-    """
-    return lts.memo(("verdict", entry, cycle, a), _classify_cycle, lts, entry, cycle, a)
-
-
-def _classify_cycle(lts: AugmentedLTS, entry: str, cycle: tuple[str, ...],
-                    a: Assumption) -> bool:
-    return classify_lasso(lts, Lasso(entry, (), cycle), a)
+def _cycle_sets(lts: AugmentedLTS, entry: str, max_len: int):
+    """`simple_cycles_at`, each cycle beside its transition set."""
+    return lts.memo(("cycle sets", entry, max_len), lambda: [
+        (cycle, frozenset(cycle)) for cycle in simple_cycles_at(lts, entry, max_len)])
 
 
 def _obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset[str], ...]:
@@ -570,6 +560,25 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
     walks = rooted_walks(lts, bounds.stem)
     s_just = stronger.kind == "Just"
     w_just = weaker.kind == "Just"
+    # The verdict of cycle^omega (for justness the cycle part; `just_stem`
+    # judges the stem) reads only the cycle's transition set, and `just_stem`
+    # only its arguments, so both are kept per system and bounds: verdicts by
+    # assumption and set, stem justness by flag, cycle components, entry and
+    # index into walks[entry].  Each is filled by the first call that needs it.
+    verdicts, justness = lts.memo(("hierarchy", bounds), lambda: ({}, {}))
+    s_verdicts, w_verdicts = (verdicts.setdefault(a, {}) for a in (stronger, weaker))
+
+    def verdict(table: dict, a: Assumption, entry: str, cycle: tuple[str, ...],
+                cset: frozenset[str]) -> bool:
+        if cset not in table:
+            table[cset] = classify_lasso(lts, Lasso(entry, (), cycle), a)
+        return table[cset]
+
+    def just(marks: list, i: int, walk: tuple, comps: frozenset[str], reactive: bool) -> bool:
+        if marks[i] is None:
+            marks[i] = just_stem(lts, *walk, comps, reactive)
+        return marks[i]
+
     try:
         # each justness side owes the obligations of its own ,reactive flag; all
         # states are read up front, so a missing comp anywhere skips the check
@@ -579,24 +588,26 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
                     _obligations(lts, s.id, a.reactive)
         for entry in sorted(walks):
             stems = walks[entry]
-            for cycle in simple_cycles_at(lts, entry, bounds.cycle):
+            for cycle, cset in _cycle_sets(lts, entry, bounds.cycle):
                 report.checked += len(stems)
-                if not _cycle_verdict(lts, entry, cycle, stronger):
+                if not verdict(s_verdicts, stronger, entry, cycle, cset):
                     continue
-                w_cyc = _cycle_verdict(lts, entry, cycle, weaker)
+                w_cyc = verdict(w_verdicts, weaker, entry, cycle, cset)
                 if w_cyc and not w_just:
                     continue
                 # only justness looks at the stem: a violation is the first
                 # stem that keeps the stronger side fair and the weaker not
                 comps_u = (frozenset().union(*(lts.comp_of(t) for t in cycle))
                            if s_just or w_just else None)
-                for start, steps in stems:
-                    if s_just and not just_stem(lts, start, steps, comps_u,
-                                                stronger.reactive):
+                s_marks, w_marks = (justness.setdefault((a.reactive, comps_u, entry),
+                                                        [None] * len(stems))
+                                    for a in (stronger, weaker))
+                for i, walk in enumerate(stems):
+                    if s_just and not just(s_marks, i, walk, comps_u, stronger.reactive):
                         continue
-                    if w_cyc and just_stem(lts, start, steps, comps_u, weaker.reactive):
+                    if w_cyc and just(w_marks, i, walk, comps_u, weaker.reactive):
                         continue
-                    report.violations.append(Lasso(start, steps, cycle))
+                    report.violations.append(Lasso(*walk, cycle))
                     return report
     except AnnotationError as exc:
         report.skipped = f"missing annotations: {exc}"

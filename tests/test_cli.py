@@ -187,6 +187,20 @@ def test_hierarchy_malformed_bounds_is_usage_error(tmp_path, capsys):
         assert captured.err.startswith("error: --bounds") and captured.err.count("\n") == 1
 
 
+def test_hierarchy_empty_or_one_sided_bounds_are_usage_errors(tmp_path, capsys):
+    """An empty --bounds does not fall back to the default, and a missing
+    number on either side of the comma is not filled in from the other."""
+    out = _ccs2lts(tmp_path, "ex-5.6.ccs")
+    capsys.readouterr()
+    for bounds in ("", "3,", ",3"):
+        code = main(["hierarchy", str(out), "--stronger", "S:A", "--weaker", "S:T",
+                     f"--bounds={bounds}"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, bounds
+        assert captured.err == (f"error: --bounds needs STEM[,CYCLE] integers, "
+                                f"not {bounds!r}\n"), bounds
+
+
 def test_hierarchy_requires_exact_condition_tags(tmp_path, capsys):
     """--requires takes a condition's exact tag; any other text is a usage
     error naming the known tags, even after a condition that fails."""
