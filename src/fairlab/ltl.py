@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lts import AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition
-from .paths import Lasso, PathError, enabled
+from .paths import Lasso, PathError
 from .labels import TAU
 from .tasks import NOTIONS, extract_tasks
 
@@ -206,7 +206,11 @@ class ConvertedLTS:
 
     `tasks` resolves the task names of atomic propositions: the input's own
     task sets first, then every notion its annotations support, each
-    extracted once when the conversion is made.
+    extracted once when the conversion is made.  The atoms true at a
+    converted state are one frozenset, built on first use: `state:` of the
+    underlying state (a transition copy's target), `enabled:` of each task
+    with a member leaving it, and `occurs:` of each task holding the copied
+    transition.
     """
 
     base: AugmentedLTS
@@ -214,8 +218,6 @@ class ConvertedLTS:
     tasks: dict[str, Task] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # memo of holds: (converted state, prop) -> bool; errors are not kept
-        self._holds: dict[tuple[str, str], bool] = {}
         self.tasks = {}
         for ts in self.base.tasks.values():
             for t in ts.tasks:
@@ -227,43 +229,48 @@ class ConvertedLTS:
                 continue
             for t in ts.tasks:
                 self.tasks.setdefault(t.name, t)
+        # transition id -> the names of the tasks that contain it
+        self._names: dict[str, list[str]] = {}
+        for name, task in self.tasks.items():
+            for tid in task.members:
+                self._names.setdefault(tid, []).append(name)
+        self._table: dict[str, frozenset[str]] = {}  # converted state -> atoms true there
+        self._checked: set[str] = set()  # atoms whose task or state exists
 
     def holds(self, converted_state: str, prop: str) -> bool:
-        """Atomic proposition validity on a converted state.
+        """Atomic proposition validity on a converted state: enabled:TASK
+        and state:ID are read off the underlying state, and occurs:TASK
+        holds exactly at the copies of the task's transitions.  An unknown
+        kind, task or state is a FormulaError wherever it is asked."""
+        self._check(prop)
+        return prop in self._row(converted_state)
 
-        State props (enabled:TASK, goal-set membership via explicit ids) are
-        read off the underlying target state; occurs:TASK holds exactly at
-        converted states that are transitions in the task.
-        """
-        key = (converted_state, prop)
-        if key not in self._holds:
-            self._holds[key] = self._atom(converted_state, prop)
-        return self._holds[key]
-
-    def _atom(self, converted_state: str, prop: str) -> bool:
+    def _check(self, prop: str) -> None:
+        if prop in self._checked:
+            return
         kind, _, arg = prop.partition(":")
-        base = self.base
-        is_transition = converted_state.startswith("t/")
-        underlying = converted_state[2:]
-        if kind == "occurs":
-            if not is_transition:
-                return False
-            task = self._task(arg)
-            return underlying in task.members
-        if kind == "enabled":
-            task = self._task(arg)
-            state = base.transition(underlying).target if is_transition else underlying
-            return enabled(base, task, state)
-        if kind == "state":
-            state = base.transition(underlying).target if is_transition else underlying
-            return state == arg
-        raise FormulaError(f"unknown atomic proposition {prop!r}")
+        if kind in ("enabled", "occurs"):
+            if arg not in self.tasks:
+                raise FormulaError(f"unknown task {arg!r} in atomic proposition")
+        elif kind == "state":
+            if arg not in self.base.state_ids():
+                raise FormulaError(f"unknown state {arg!r} in atomic proposition")
+        else:
+            raise FormulaError(f"unknown atomic proposition {prop!r}")
+        self._checked.add(prop)
 
-    def _task(self, name: str) -> Task:
-        try:
-            return self.tasks[name]
-        except KeyError:
-            raise FormulaError(f"unknown task {name!r} in atomic proposition") from None
+    def _row(self, converted_state: str) -> frozenset[str]:
+        row = self._table.get(converted_state)
+        if row is None:
+            names, state = self._names, converted_state[2:]
+            occurs = []
+            if converted_state.startswith("t/"):
+                occurs = [f"occurs:{n}" for n in names.get(state, ())]
+                state = self.base.transition(state).target
+            enabled = [f"enabled:{n}" for t in self.base.outgoing(state)
+                       for n in names.get(t.id, ())]
+            row = self._table[converted_state] = frozenset([f"state:{state}", *occurs, *enabled])
+        return row
 
 
 def ltl_convert(lts: AugmentedLTS) -> ConvertedLTS:
@@ -310,10 +317,10 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
     at suffix class i, stem classes first.  Every cycle class reaches every
     other, so F and G test the cycle bits once, and a stem class reads the
     last stem bit set (F) or unset (G) from it on: one `bit_length`.  So
-    evaluation costs |formula| integer operations plus one `holds` lookup
-    per atom and suffix class.  Every operand of a chain is evaluated, so
-    an unknown atom raises wherever it stands; a chain is one node, so its
-    length costs no Python stack.
+    evaluation costs |formula| integer operations plus one set-membership
+    test per atom and suffix class, against the class's atom set.  Every
+    operand of a chain is evaluated, so an unknown atom raises wherever it
+    stands; a chain is one node, so its length costs no Python stack.
     """
     lasso.validate(conv.lts)
     # the state of each suffix class: stem positions, then cycle positions
@@ -322,17 +329,18 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
     full = (1 << len(states)) - 1
     stem = (1 << len(lasso.stem)) - 1
     cyc = full & ~stem
-    bits = [1 << i for i in range(len(states))]
-    holds = conv.holds
+    classes = [(1 << i, conv._row(s)) for i, s in enumerate(states)]
 
     def sat(f: Formula) -> int:
         op = f.op
         if op in ("true", "false"):
             return full if op == "true" else 0
         if op == "atom":
+            a = f.atom
+            conv._check(a)
             out = 0
-            for bit, s in zip(bits, states):
-                if holds(s, f.atom):
+            for bit, row in classes:
+                if a in row:
                     out |= bit
             return out
         if op == "not":

@@ -347,6 +347,7 @@ def test_ltl_cli(tmp_path, capsys):
     ("false & bogus:x", "unknown atomic proposition 'bogus:x'"),
     ("true | occurs:A:nosuch", "unknown task 'A:nosuch' in atomic proposition"),
     ("F(true) | bogus:y", "unknown atomic proposition 'bogus:y'"),
+    ("false & state:s9", "unknown state 's9' in atomic proposition"),
 ])
 def test_ltl_evaluates_every_operand_of_a_chain(tmp_path, capsys, formula, error):
     # the first operand decides the chain, and the bad atom after it still raises
@@ -357,6 +358,20 @@ def test_ltl_evaluates_every_operand_of_a_chain(tmp_path, capsys, formula, error
                  "--formula", formula])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {error}\n")
+
+
+def test_python_dash_m_fairlab_runs_the_command_line(tmp_path):
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"start": "init", "stem": [],
+                                 "cycle": ["m1", "m2", "m3"]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(SRC), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "fairlab", "ltl",
+                          str(DATA / "ex-4.2-mutex-mem.json"), "--lasso", str(lasso),
+                          "--formula", "G(G(enabled:L) -> F(occurs:L))"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["holds"] is True
 
 
 def test_readme_ltl_example_runs_on_a_saved_corpus_system(tmp_path, capsys):

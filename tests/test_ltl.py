@@ -11,7 +11,9 @@ import pytest
 
 from fairlab import ltl
 from fairlab.corpus import build_all, t_by
-from fairlab.lts import AnnotationError, from_exploration
+from fairlab.labels import parse_label
+from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition,
+                         from_exploration)
 from fairlab.ltl import (FormulaError, Formula, G, atom, conj, convert_lasso, disj,
                          eval_ltl, implies, ltl_convert, neg, parse_formula,
                          strong_fairness_formula, weak_fairness_formula, F)
@@ -426,3 +428,118 @@ def test_holds_memo_keeps_answers_not_errors():
             conv.holds(states[-1], "enabled:nosuch")
         with pytest.raises(FormulaError, match="unknown atomic proposition"):
             conv.holds(states[-1], "bogus:x")
+
+
+def test_unknown_task_or_state_raises_at_every_position():
+    lts = _built("ex-5.1*")["ex-5.1-exit-loop"].lts
+    assert "s9" not in lts.state_ids()
+    conv = ltl_convert(lts)
+    loop = t_by(lts, source=lts.initial[0], target=lts.initial[0])
+    for state in (f"s/{lts.initial[0]}", f"t/{loop}"):
+        for prop in ("occurs:nosuch", "enabled:nosuch"):
+            with pytest.raises(FormulaError,
+                               match=r"^unknown task 'nosuch' in atomic proposition$"):
+                conv.holds(state, prop)
+        with pytest.raises(FormulaError, match=r"^unknown state 's9' in atomic proposition$"):
+            conv.holds(state, "state:s9")
+    lasso = convert_lasso(conv, Lasso(lts.initial[0], (), (loop,)))
+    for text in ("state:s9", "false & state:s9", "state:s0 | state:s9"):
+        with pytest.raises(FormulaError, match=r"^unknown state 's9' in atomic proposition$"):
+            eval_ltl(conv, lasso, parse_formula(text))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the per-state truth table against the per-prop rule it
+# replaced (`_oracle_holds` above).
+# ---------------------------------------------------------------------------
+
+def _strict_oracle_holds(lts, converted_state, prop):
+    """`_oracle_holds`, where a task or state the system lacks is an error
+    at every position, not only where it is read."""
+    kind, _, arg = prop.partition(":")
+    if kind == "occurs":
+        _oracle_task(lts, arg)
+    elif kind == "state" and arg not in lts.state_ids():
+        raise FormulaError(f"unknown state {arg!r} in atomic proposition")
+    return _oracle_holds(lts, converted_state, prop)
+
+
+def _own_name_system():
+    """s0 -a-> s1 -a-> s0 with an a-self-loop on s1.  Its own task set names
+    `A:a` too, with the first a-step alone, while notion A's `A:a` holds
+    every a-step."""
+    def t(tid, source, target):
+        return Transition(tid, source, target, parse_label("a"), None, None, False)
+    own = TaskSet("custom", (Task("A:a", frozenset({"t0"})),))
+    return AugmentedLTS([State("s0", None), State("s1", None)],
+                        [t("t0", "s0", "s1"), t("t1", "s1", "s0"), t("t2", "s1", "s1")],
+                        ["s0"], tasks={"own": own})
+
+
+def test_truth_table_matches_the_per_prop_oracle():
+    def ccs(source):
+        return from_exploration(explore(parse_ccs(source)))
+    systems = [b.lts for b in build_all() if not b.lts.truncated]
+    systems += [ccs("X | done where X = " + ".".join(f"a{i}" for i in range(10)) + ".X"),
+                ccs(" | ".join(f"X{i}" for i in range(5)) + " where "
+                    + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(5))),
+                _own_name_system()]
+    outcomes = set()
+    for lts in systems:
+        conv = ltl_convert(lts)
+        props = ([f"{kind}:{name}" for name in conv.tasks for kind in ("enabled", "occurs")]
+                 + [f"state:{s}" for s in lts.state_ids()]
+                 + ["enabled:T:nosuch", "occurs:T:nosuch", "state:nosuch", "bogus:x"])
+        for state in conv.lts.state_ids():
+            for prop in props:
+                expected = _outcome(_strict_oracle_holds, lts, state, prop)
+                assert _outcome(ltl.ConvertedLTS.holds, conv, state, prop) == expected, \
+                    (state, prop)
+                outcomes.add(expected)
+    assert {True, False, "FormulaError: unknown task 'T:nosuch' in atomic proposition",
+            "FormulaError: unknown state 'nosuch' in atomic proposition",
+            "FormulaError: unknown atomic proposition 'bogus:x'"} == outcomes
+    # the system's own A:a wins over notion A's, which differs from it
+    own = ltl_convert(_own_name_system())
+    assert own.tasks["A:a"].members == {"t0"} != extract_tasks(own.base, "A").get("A:a").members
+    assert not own.holds("t/t0", "enabled:A:a") and not own.holds("t/t2", "occurs:A:a")
+
+
+def _atom_names(formula):
+    names, todo = set(), [formula]
+    while todo:
+        f = todo.pop()
+        if f.op == "atom":
+            names.add(f.atom)
+        todo.extend(f.args)
+    return names
+
+
+@pytest.mark.parametrize("entry", ["ex-7.1-clerk", "ex-13.1-relabel-ring"])
+def test_cross_check_keeps_one_atom_set_per_state_and_one_entry_per_atom(entry):
+    # the criterion-5 replay, twice: the conversion's tables stay within one
+    # atom set per converted state and one entry per atom, and the second
+    # replay adds nothing, so nothing is kept per lasso or per formula
+    lts = _built(entry)[entry].lts
+    conv = ltl_convert(lts)
+    formulas = []
+    for notion in ("A", "T", "I", "Z", "C", "G"):
+        try:
+            ts = extract_tasks(lts, notion)
+        except AnnotationError:
+            continue
+        formulas += [weak_fairness_formula(ts), strong_fairness_formula(ts)]
+    walks = rooted_walks(lts, 5)
+    lassos = [convert_lasso(conv, Lasso(*walks[at][0], cycle))
+              for at in sorted(walks) for cycle in simple_cycles_at(lts, at, 6)]
+    shapes = []
+    for _ in range(2):
+        for lasso in lassos:
+            for formula in formulas:
+                eval_ltl(conv, lasso, formula)
+        shapes.append((len(conv._table), len(conv._checked)))
+    assert len(lassos) * len(formulas) > 100
+    assert set(vars(conv)) == {"base", "lts", "tasks", "_names", "_table", "_checked"}
+    assert set(conv._table) <= set(conv.lts.state_ids())
+    assert conv._checked == set().union(*map(_atom_names, formulas))
+    assert shapes[0] == shapes[1]
