@@ -9,6 +9,7 @@ can live on that transition's copy without ambiguity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lts import AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition
 from .paths import Lasso, PathError
@@ -42,6 +43,25 @@ class Formula:
         first, *rest = self.args
         sym = {"and": "&", "or": "|", "implies": "->"}[self.op]
         return "(" * len(rest) + str(first) + "".join(f" {sym} {g})" for g in rest)
+
+    @cached_property
+    def program(self) -> tuple[tuple[str, str], ...]:
+        """The formula in postfix, built without recursion: a chain's operator
+        follows each operand but the first; an unknown operator is one step."""
+        out, todo = [], [self]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, tuple):
+                out.append(f)
+            elif f.op in ("not", "F", "G"):
+                todo += [(f.op, ""), f.args[0]]
+            elif f.op in ("and", "or", "implies"):
+                for g in reversed(f.args[1:]):
+                    todo += [(f.op, ""), g]
+                todo.append(f.args[0])
+            else:  # an atom, true, false, or an unknown operator: it raises there
+                out.append((f.op, f.atom))
+        return tuple(out)
 
 
 def _chain_of(op: str, first: Formula, *rest: Formula) -> Formula:
@@ -86,8 +106,7 @@ def G(f: Formula) -> Formula:  # noqa: N802
 
 
 # Deepest nesting parse_formula accepts: each !, F, G, parenthesis and
-# implication adds a level.  Evaluation recurses once per level, and
-# and/or chains add none.
+# implication adds a level, and printing and comparing recurse once per level.
 MAX_NESTING = 100
 
 
@@ -206,11 +225,12 @@ class ConvertedLTS:
 
     `tasks` resolves the task names of atomic propositions: the input's own
     task sets first, then every notion its annotations support, each
-    extracted once when the conversion is made.  The atoms true at a
-    converted state are one frozenset, built on first use: `state:` of the
-    underlying state (a transition copy's target), `enabled:` of each task
-    with a member leaving it, and `occurs:` of each task holding the copied
-    transition.
+    extracted once.  The atoms true at a converted state are one frozenset,
+    built on first use: `state:` of the underlying state (a transition
+    copy's target), `enabled:` of each task with a member leaving it, and
+    `occurs:` of each task holding the copied transition.  One slot keeps
+    the last lasso `eval_ltl` was given, with its masks; an equal lasso
+    reuses it and any other replaces it.
     """
 
     base: AugmentedLTS
@@ -235,29 +255,24 @@ class ConvertedLTS:
             for tid in task.members:
                 self._names.setdefault(tid, []).append(name)
         self._table: dict[str, frozenset[str]] = {}  # converted state -> atoms true there
-        self._checked: set[str] = set()  # atoms whose task or state exists
+        self._states = frozenset(self.base.state_ids())  # what `state:` atoms may name
+        self._lasso: tuple | None = None  # (lasso, full, stem, cyc, atom -> mask)
 
     def holds(self, converted_state: str, prop: str) -> bool:
-        """Atomic proposition validity on a converted state: enabled:TASK
-        and state:ID are read off the underlying state, and occurs:TASK
-        holds exactly at the copies of the task's transitions.  An unknown
-        kind, task or state is a FormulaError wherever it is asked."""
+        """Whether the atom holds at the converted state; an unknown one is a FormulaError."""
         self._check(prop)
         return prop in self._row(converted_state)
 
     def _check(self, prop: str) -> None:
-        if prop in self._checked:
-            return
         kind, _, arg = prop.partition(":")
         if kind in ("enabled", "occurs"):
             if arg not in self.tasks:
                 raise FormulaError(f"unknown task {arg!r} in atomic proposition")
         elif kind == "state":
-            if arg not in self.base.state_ids():
+            if arg not in self._states:
                 raise FormulaError(f"unknown state {arg!r} in atomic proposition")
         else:
             raise FormulaError(f"unknown atomic proposition {prop!r}")
-        self._checked.add(prop)
 
     def _row(self, converted_state: str) -> frozenset[str]:
         row = self._table.get(converted_state)
@@ -271,6 +286,22 @@ class ConvertedLTS:
                        for n in names.get(t.id, ())]
             row = self._table[converted_state] = frozenset([f"state:{state}", *occurs, *enabled])
         return row
+
+    def _masks(self, lasso: Lasso) -> tuple:
+        """The lasso, validated, its full, stem and cycle masks, and the mask of
+        each atom true on it, read off one row per suffix class."""
+        slot = self._lasso
+        if slot is None or slot[0] != lasso:
+            lasso.validate(self.lts)
+            states = [lasso.start] + [self.lts.transition(tid).target
+                                      for tid in lasso.stem + lasso.cycle[:-1]]
+            masks: dict[str, int] = {}
+            for i, s in enumerate(states):
+                for a in self._row(s):
+                    masks[a] = masks.get(a, 0) | 1 << i
+            full, stem = (1 << len(states)) - 1, (1 << len(lasso.stem)) - 1
+            slot = self._lasso = (lasso, full, stem, full & ~stem, masks)
+        return slot
 
 
 def ltl_convert(lts: AugmentedLTS) -> ConvertedLTS:
@@ -316,49 +347,41 @@ def eval_ltl(conv: ConvertedLTS, lasso: Lasso, formula: Formula) -> bool:
     position.  A subformula's value is one int with bit i set when it holds
     at suffix class i, stem classes first.  Every cycle class reaches every
     other, so F and G test the cycle bits once, and a stem class reads the
-    last stem bit set (F) or unset (G) from it on: one `bit_length`.  So
-    evaluation costs |formula| integer operations plus one set-membership
-    test per atom and suffix class, against the class's atom set.  Every
-    operand of a chain is evaluated, so an unknown atom raises wherever it
-    stands; a chain is one node, so its length costs no Python stack.
+    last stem bit set (F) or unset (G) from it on: one `bit_length`.  The
+    formula's `program` runs over a stack of ints, one integer operation a
+    step, and an atom's mask is one lookup in the lasso's table, which every
+    formula asked of that lasso shares.  Every operand of a chain is
+    evaluated, so an unknown atom raises wherever it stands.
     """
-    lasso.validate(conv.lts)
-    # the state of each suffix class: stem positions, then cycle positions
-    states = [lasso.start] + [conv.lts.transition(tid).target
-                              for tid in lasso.stem + lasso.cycle[:-1]]
-    full = (1 << len(states)) - 1
-    stem = (1 << len(lasso.stem)) - 1
-    cyc = full & ~stem
-    classes = [(1 << i, conv._row(s)) for i, s in enumerate(states)]
-
-    def sat(f: Formula) -> int:
-        op = f.op
-        if op in ("true", "false"):
-            return full if op == "true" else 0
+    _, full, stem, cyc, masks = conv._masks(lasso)
+    stack: list[int] = []
+    for op, arg in formula.program:
         if op == "atom":
-            a = f.atom
-            conv._check(a)
-            out = 0
-            for bit, row in classes:
-                if a in row:
-                    out |= bit
-            return out
-        if op == "not":
-            return full & ~sat(f.args[0])
-        if op in ("and", "or", "implies"):
-            out, *rest = map(sat, f.args)
-            for v in rest:
-                out = out & v if op == "and" else out | v if op == "or" else (full & ~out) | v
-            return out
-        if op == "F":
-            v = sat(f.args[0])
-            return full if v & cyc else (1 << v.bit_length()) - 1
-        if op == "G":
-            v = sat(f.args[0])
-            return full & ~((1 << (stem & ~v).bit_length()) - 1) if v & cyc == cyc else 0
-        raise FormulaError(f"unknown operator {f.op}")
-
-    return bool(sat(formula) & 1)
+            v = masks.get(arg)
+            if v is None:  # true nowhere on the lasso, or unknown
+                conv._check(arg)
+                v = masks[arg] = 0
+            stack.append(v)
+        elif op == "G":
+            v = stack[-1]
+            stack[-1] = full & ~((1 << (stem & ~v).bit_length()) - 1) if v & cyc == cyc else 0
+        elif op == "F":
+            v = stack[-1]
+            stack[-1] = full if v & cyc else (1 << v.bit_length()) - 1
+        # a chain step pops its right operand, then reads the left one
+        elif op == "and":
+            stack[-1] = stack.pop() & stack[-1]
+        elif op == "implies":
+            stack[-1] = stack.pop() | (full & ~stack[-1])
+        elif op == "or":
+            stack[-1] = stack.pop() | stack[-1]
+        elif op == "not":
+            stack[-1] = full & ~stack[-1]
+        elif op in ("true", "false"):
+            stack.append(full if op == "true" else 0)
+        else:
+            raise FormulaError(f"unknown operator {op}")
+    return bool(stack[-1] & 1)
 
 
 def weak_fairness_formula(ts: TaskSet) -> Formula:

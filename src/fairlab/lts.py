@@ -46,6 +46,8 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskSet:
+    """Tasks in order; a set of them is one int mask, bit k for task k."""
+
     notion: str  # A T I Z C G custom
     tasks: tuple[Task, ...]
 
@@ -66,12 +68,12 @@ class TaskSet:
         raise KeyError(name)
 
     @cached_property
-    def containing(self) -> dict[str, tuple[int, ...]]:
-        """Transition id -> ascending indices of the tasks that contain it."""
-        out: dict[str, tuple[int, ...]] = {}
+    def containing(self) -> dict[str, int]:
+        """Transition id -> the mask of the tasks that contain it."""
+        out: dict[str, int] = {}
         for k, task in enumerate(self.tasks):
             for tid in task.members:
-                out[tid] = out.get(tid, ()) + (k,)
+                out[tid] = out.get(tid, 0) | 1 << k
         return out
 
     def to_json(self) -> dict:

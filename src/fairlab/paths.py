@@ -4,7 +4,7 @@ under every progress/justness/fairness assumption."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .lts import AugmentedLTS, Task, TaskSet, read_json, requested_if_present
 from .tasks import NOTIONS, extract_tasks
@@ -22,25 +22,27 @@ class PathPrefix:
     steps: tuple[str, ...] = ()
 
     def validate(self, lts: AugmentedLTS) -> None:
-        at = self.start
-        lts.state(at)
-        for tid in self.steps:
-            t = lts.transition(tid)
-            if t.source != at:
-                raise PathError(f"transition {tid} does not continue the path at {at}")
-            at = t.target
+        _walk(lts, self.start, self.steps)
 
     def states(self, lts: AugmentedLTS) -> list[str]:
-        out = [self.start]
-        for tid in self.steps:
-            out.append(lts.transition(tid).target)
-        return out
+        return [self.start] + [lts.transition(tid).target for tid in self.steps]
 
     def end(self, lts: AugmentedLTS) -> str:
         return self.states(lts)[-1]
 
     def to_json(self) -> dict:
         return {"start": self.start, "steps": list(self.steps)}
+
+
+def _walk(lts: AugmentedLTS, at: str, steps: tuple[str, ...]) -> str:
+    """The state steps reach from state at, each checked to continue the path."""
+    lts.state(at)
+    for tid in steps:
+        t = lts.transition(tid)
+        if t.source != at:
+            raise PathError(f"transition {tid} does not continue the path at {at}")
+        at = t.target
+    return at
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,8 @@ class Lasso:
             raise PathError("a lasso needs a nonempty cycle")
 
     def validate(self, lts: AugmentedLTS) -> None:
-        PathPrefix(self.start, self.stem + self.cycle).validate(lts)
-        entry = PathPrefix(self.start, self.stem).end(lts)
-        if lts.transition(self.cycle[-1]).target != entry:
+        entry = _walk(lts, self.start, self.stem)
+        if _walk(lts, entry, self.cycle) != entry:
             raise PathError("cycle does not close at the stem's end state")
 
     def cycle_states(self, lts: AugmentedLTS) -> tuple[str, ...]:
@@ -167,19 +168,25 @@ def enabled(lts: AugmentedLTS, task: Task, state: str, reactive: bool = False) -
 def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False) -> bool:
     """A task is enabled during a transition u if a member from source(u) is
     concurrent with u (disjoint component sets)."""
-    ut = lts.transition(u)
     ucomp = lts.comp_of(u)
-    for t in lts.outgoing(ut.source, reactive):
-        if t.id in task.members and not (lts.comp_of(t.id) & ucomp):
-            return True
-    return False
+    return any(t.id in task.members and not (lts.comp_of(t.id) & ucomp)
+               for t in lts.outgoing(lts.transition(u).source, reactive))
 
 
 def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
                   reactive: bool = False) -> set[int]:
-    """Indices of the tasks of ts enabled in the state: one lookup per
-    outgoing transition."""
-    return {k for t in lts.outgoing(state, reactive) for k in ts.containing.get(t.id, ())}
+    """Indices of the tasks of ts enabled in the state."""
+    mask = 0
+    for t in lts.outgoing(state, reactive):
+        mask |= ts.containing.get(t.id, 0)
+    return set(task_indices(mask))
+
+
+def task_indices(mask: int) -> Iterator[int]:
+    """The set bits of a task mask, ascending: the indices of its tasks."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +202,46 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     infinitely often iff it meets the cycle.  Justness additionally owes an
     interference to every transition enabled along the stem.
 
-    For J/W/S the enabled tasks of each cycle state are read off the task
-    set's membership table, so the cost is the cycle's length plus the
-    out-degrees of its states, times the tasks per transition, not
-    |tasks| x |cycle|.  J then checks enabled-during for the few tasks that
-    are enabled at every cycle state and do not occur, in task order.  SWI
-    reads the instruction tasks as S:I does, and asks whether each task S:I
-    would owe has its instruction requested at every cycle state.
+    For J/W/S a set of tasks is one int mask, bit k for task k: the cycle's
+    transitions OR into the tasks that occur, each cycle state's outgoing
+    ones into the tasks enabled there.  S holds when no cycle state enables
+    a task that never occurs, W when no such task is enabled at every one.
+    J asks enabled-during of the latter over the cycle's steps in sorted
+    order, SWI requested-ness of the former; both in task order, so every
+    rotation of a cycle is judged alike, errors included.
     """
     if not assumption.pathwise():
         raise ValueError(f"{assumption.kind} is a liveness-level assumption, "
                          "not a path predicate")
     lasso.validate(lts)
-    reactive = assumption.reactive
-    kind = assumption.kind
+    kind, reactive = assumption.kind, assumption.reactive
     if kind == "P":
         return True
-    cyc_states = sorted(lasso.cycle_states(lts))
     if kind == "Just":
         return _just_lasso(lts, lasso, reactive)
+    cyc_states = sorted(lasso.cycle_states(lts))
     ts = resolve_tasks(lts, assumption)
-    occurring = {k for u in lasso.cycle for k in ts.containing.get(u, ())}
-    per_state = [enabled_tasks(lts, ts, s, reactive) - occurring for s in cyc_states]
+    containing = ts.containing
+    occurring = 0
+    for u in lasso.cycle:
+        occurring |= containing.get(u, 0)
+    union, perpetual = 0, -1  # perpetual: enabled at every cycle state, never taken
+    for s in cyc_states:
+        owed = 0
+        for t in lts.outgoing(s, reactive):
+            owed |= containing.get(t.id, 0)
+        union |= owed & ~occurring
+        perpetual &= owed & ~occurring
     if kind == "S":
-        return not set().union(*per_state)
+        return not union
     if kind == "SWI":  # task "I:i" is instruction i
         return not any(all(requested_if_present(lts, ts.tasks[k].name[2:], s)
                            for s in cyc_states)
-                       for k in sorted(set().union(*per_state)))
-    perpetual = set.intersection(*per_state)  # enabled at every cycle state, never taken
+                       for k in task_indices(union))
     if kind == "J":
-        return not any(all(enabled_during(lts, ts.tasks[k], u, reactive) for u in lasso.cycle)
-                       for k in sorted(perpetual))
+        steps = sorted(lasso.cycle)
+        return not any(all(enabled_during(lts, ts.tasks[k], u, reactive) for u in steps)
+                       for k in task_indices(perpetual))
     return not perpetual
 
 

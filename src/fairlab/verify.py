@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
                   read_json, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_lasso, complete_at,
-                    enabled_tasks, just_stem)
+                    enabled_tasks, just_stem, task_indices)
 
 
 @dataclass
@@ -447,7 +447,7 @@ def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
     for taken, order in itertools.islice(_schedule(lts, prefix, ts), max(max_steps, 0)):
         for k in enabled_tasks(lts, ts, taken.source):
             enabled_at[k] = len(steps)
-        for k in ts.containing.get(taken.id, ()):
+        for k in task_indices(ts.containing.get(taken.id, 0)):
             occurs_at[k] = len(steps)
         steps.append(taken.id)
         # recurrence point: the target and the queue's task names in

@@ -9,7 +9,9 @@ scan the classifier used before `outgoing` took the flag.  That oracle
 walks the cycle's states in cycle order, as the classifier does; the scan
 it copies walked them as a frozenset, whose order (and so which
 AnnotationError a partially annotated system raised first, if any)
-depended on string hashing.
+depended on string hashing.  The J oracle reads the cycle's steps in
+sorted order, so that every rotation of a cycle gets one verdict or one
+AnnotationError.
 
 The SWI oracle scans the instructions one by one.  Like notion I, it needs
 an instruction set on every transition; unlike S:I, it asks whether each
@@ -134,7 +136,7 @@ def _oracle_lasso(lts, lasso, assumption):
         if assumption.kind == "S" and any(per_state):
             return False
         if assumption.kind == "J" and all(per_state) and all(
-                _enabled_during(lts, task, u, reactive) for u in lasso.cycle):
+                _enabled_during(lts, task, u, reactive) for u in sorted(lasso.cycle)):
             return False
     return True
 
@@ -216,7 +218,18 @@ def _compare(lts, assumptions, tally, stems=None):
 _NOT_CCS = "AnnotationError: instruction projection needs a ccs-origin system"
 
 
+def _drawn_tasks(rng, lts, n) -> TaskSet:
+    """n custom tasks with drawn, overlapping members (some empty); past 64
+    tasks a task mask spans several machine words."""
+    tids = [t.id for t in lts.transitions]
+    return TaskSet("custom", tuple(
+        Task(f"c{k}", frozenset(rng.sample(tids, rng.randint(0, min(3, len(tids))))))
+        for k in range(n)))
+
+
 def test_classifier_matches_per_task_scan_on_corpus():
+    # each system's own task sets, plus 70 drawn tasks, each with ,reactive
+    rng = random.Random(2311)
     tally = {True: 0, False: 0, "error": 0, "finite": 0, "SWI": Counter()}
     systems = 0
     for built in build_all():
@@ -224,7 +237,7 @@ def test_classifier_matches_per_task_scan_on_corpus():
         if lts.truncated:
             continue
         systems += 1
-        _compare(lts, _assumptions(lts), tally)
+        _compare(lts, _assumptions(lts, (_drawn_tasks(rng, lts, 70),)), tally)
     assert systems > 20
     assert tally[True] > 1000 and tally[False] > 1000 and tally["finite"] > 1000
     assert tally["error"] > 0  # I/Z/C/G on systems without instr/comp
@@ -267,7 +280,8 @@ def test_classifier_matches_per_task_scan_on_random_systems():
                 Task(f"c{k}", frozenset(rng.sample(tids, rng.randint(0, len(tids)))))
                 for k in range(3)))
             # only justness looks at the stem, so one stem per cycle will do
-            _compare(lts, _assumptions(lts, (custom,)), tally, stems=1)
+            _compare(lts, _assumptions(lts, (custom, _drawn_tasks(rng, lts, 70))), tally,
+                     stems=1)
     assert tally[True] > 1000 and tally[False] > 1000 and tally["error"] > 1000
     swi = tally["SWI"]
     assert swi["partial", "lasso", _NO_INSTR] > 2000 and swi["partial", "finite", _NO_INSTR] > 200
@@ -275,6 +289,31 @@ def test_classifier_matches_per_task_scan_on_random_systems():
     assert swi["handwritten", "lasso", True] > 1000 and swi["handwritten", "lasso", _NOT_CCS] > 500
     assert swi["handwritten", "finite", True] > 50 and swi["handwritten", "finite", False] > 50
     assert len(swi) == 6
+
+
+def test_every_rotation_of_a_cycle_gets_one_verdict_or_one_error():
+    """On random partly annotated systems, the rotations of a cycle (each
+    with an empty stem) classify alike, errors included, under every
+    assumption whose verdict reads only the cycle: P, J, W, S and SWI, with
+    and without ,reactive, over every notion and two custom task sets."""
+    rng = random.Random(2312)
+    tally = Counter()
+    for instr_missing, comp_missing in ((0, 0.3), (0.3, 0.3), (0.2, 0.6)):
+        for _ in range(10):
+            lts = _random_system(rng, instr_missing, comp_missing)
+            extra = (_drawn_tasks(rng, lts, 3), _drawn_tasks(rng, lts, 70))
+            assumptions = [Assumption("P")] + [a for a in _assumptions(lts, extra)
+                                               if a.kind != "Just"]
+            for sid in lts.state_ids():
+                for cycle in simple_cycles_at(lts, sid, 3):
+                    rotations = [Lasso(lts.transition(u).source, (), cycle[k:] + cycle[:k])
+                                 for k, u in enumerate(cycle)]
+                    for a in assumptions:
+                        outcomes = {_outcome(classify_lasso, lts, r, a) for r in rotations}
+                        assert len(outcomes) == 1, (cycle, str(a), outcomes)
+                        got = outcomes.pop()
+                        tally[got if isinstance(got, bool) else "error", len(cycle) > 1] += 1
+    assert min(tally[outcome, True] for outcome in (True, False, "error")) > 5000, tally
 
 
 def _grid(n):

@@ -7,14 +7,11 @@ oracle is the search as it was before those tables: it caches a verdict per
 (entry, cycle, assumption) on the system for every bound, and calls
 `paths.just_stem` for every stem it judges.
 
-The two agree on every corpus system.  On a partly annotated system they may
-differ in one way only.  The table classifies a transition set once, from
-the first (entry, cycle) the search meets, which is the call the oracle
-makes first too.  The oracle then classifies the other rotations of that
-cycle, and J reads `enabled_during` in cycle order and stops at the first
-False, so a later rotation can raise AnnotationError where the first did
-not.  The oracle then skips the arrow for missing annotations, while the
-tables check it and find no violation.
+They agree on every corpus system and on partly annotated ones too.  The
+table classifies a transition set once, from the first (entry, cycle) the
+search meets, while the oracle classifies every rotation of that cycle; the
+classifier judges every rotation alike, errors included (J reads the
+cycle's steps in sorted order), so the two skip the same arrows.
 """
 
 from __future__ import annotations
@@ -102,9 +99,6 @@ def _compare(lts, arrows, bounds_list, verdicts, tally):
             if _outcome(got) == _outcome(want):
                 tally["skipped" if got.skipped else
                       "violation" if got.violations else "holds"] += 1
-            elif (want.skipped.startswith("missing annotations: ") and not got.skipped
-                  and not got.violations):
-                tally["oracle skips, tables check"] += 1
             else:
                 tally["other"] += 1
                 tally.setdefault("first other", (bounds, str(stronger), str(weaker),
@@ -144,7 +138,7 @@ def test_tables_match_the_oracle_on_random_partly_annotated_systems():
     """3,000 random systems, about 15% of their transitions without comp
     and 10% without instr, each checked under two bounds on the same object
     over every Fig. 2 arrow, with both sides ,reactive on about half of the
-    systems: the only difference is the class the module docstring names."""
+    systems: the outcomes are the same, skips and their texts included."""
     rng = random.Random(2110)
     tally = Counter()
     for _ in range(3000):
@@ -153,8 +147,7 @@ def test_tables_match_the_oracle_on_random_partly_annotated_systems():
                    dataclasses.replace(weaker, reactive=reactive), conditions)
                   for stronger, weaker, conditions in figure2_arrows()]
         _compare(_random_system(rng), arrows, (Bounds(1, 2), Bounds(2, 3)), {}, tally)
-    assert "other" not in tally, tally
-    assert tally["oracle skips, tables check"] > 0, tally
+    assert set(tally) == {"holds", "skipped"}, tally
     assert tally["holds"] > 50000 and tally["skipped"] > 50000, tally
 
 
@@ -171,24 +164,20 @@ def _rotations_system(t2_comp) -> AugmentedLTS:
 
 
 def test_first_rotation_judges_a_partly_annotated_cycle():
-    """Under J:A,reactive the cycle t1 t2 is fair from s0: task a is never
-    enabled during t1, so `enabled_during` never reads t2's components.  The
-    rotation t2 t1 from s1 reads them first and raises.  The tables judge the
-    cycle once, from the rotation met first, so the check runs as it does
-    when t2 carries any component set; the search before the tables skipped it."""
+    """Under J:A,reactive the cycle t1 t2 is fair: task a is never enabled
+    during t1, the least step, so `enabled_during` never reads t2's missing
+    components, from either rotation.  The tables judge the cycle once, from
+    the rotation met first, and the oracle, which judges both, checks the
+    arrow too, as it does when t2 carries any component set."""
     p, j = parse_assumption("P"), parse_assumption("J:A,reactive")
     lts = _rotations_system(None)
     assert classify_lasso(lts, Lasso("s0", (), ("t1", "t2")), j)
-    with pytest.raises(AnnotationError, match="transition t2 carries no component set"):
-        classify_lasso(lts, Lasso("s1", (), ("t2", "t1")), j)
-    oracle = _oracle_check(lts, p, j, Bounds(1, 2), (), {})
-    assert oracle.skipped == "missing annotations: transition t2 carries no component set"
+    assert classify_lasso(lts, Lasso("s1", (), ("t2", "t1")), j)
     for comp in (None, frozenset({"R"}), frozenset({"L"}), frozenset({"L", "R"})):
         report = hierarchy_check(_rotations_system(comp), p, j, Bounds(1, 2))
         assert _outcome(report) == (6, [], ""), comp
-        if comp is not None:
-            oracle = _oracle_check(_rotations_system(comp), p, j, Bounds(1, 2), (), {})
-            assert _outcome(oracle) == (6, [], ""), comp
+        oracle = _oracle_check(_rotations_system(comp), p, j, Bounds(1, 2), (), {})
+        assert _outcome(oracle) == (6, [], ""), comp
 
 
 def test_each_table_key_is_computed_once(monkeypatch):

@@ -6,6 +6,7 @@ import functools
 import inspect
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -400,6 +401,21 @@ def test_weak_fairness_of_many_tasks_needs_no_deep_recursion():
     assert text.count(" & G((G(enabled:") == 2047
 
 
+def test_deep_negation_evaluates_without_recursion():
+    # 5,000 nested `!`, built in code (the parser stops at MAX_NESTING): the
+    # compiled program runs it on a flat stack
+    lts = _built("ex-5.1*")["ex-5.1-exit-loop"].lts
+    conv = ltl_convert(lts)
+    loop = t_by(lts, source=lts.initial[0], target=lts.initial[0])
+    lasso = convert_lasso(conv, Lasso(lts.initial[0], (), (loop,)))
+    f = base = atom("state:s0")
+    for _ in range(5000):
+        f = neg(f)
+    assert eval_ltl(conv, lasso, base) and eval_ltl(conv, lasso, f)
+    assert not eval_ltl(conv, lasso, neg(f))
+    assert ltl.MAX_NESTING == 100
+
+
 def test_long_chains_print_compare_and_hash_without_recursion():
     one, other = conj(*[atom("a")] * 2000), conj(*[atom("a")] * 2000)
     assert one is not other
@@ -517,11 +533,89 @@ def _atom_names(formula):
 
 @pytest.mark.parametrize("entry", ["ex-7.1-clerk", "ex-13.1-relabel-ring"])
 def test_cross_check_keeps_one_atom_set_per_state_and_one_entry_per_atom(entry):
-    # the criterion-5 replay, twice: the conversion's tables stay within one
-    # atom set per converted state and one entry per atom, and the second
-    # replay adds nothing, so nothing is kept per lasso or per formula
+    # the criterion-5 replay, twice: the conversion keeps one atom set per
+    # converted state, the second replay adds nothing, and the one lasso slot
+    # holds the last lasso asked about with one mask per atom on it or in the
+    # formulas, so nothing is kept per earlier lasso or per formula
     lts = _built(entry)[entry].lts
     conv = ltl_convert(lts)
+    formulas = []
+    for notion in ("A", "T", "I", "Z", "C", "G"):
+        try:
+            ts = extract_tasks(lts, notion)
+        except AnnotationError:
+            continue
+        formulas += [weak_fairness_formula(ts), strong_fairness_formula(ts)]
+    named = set().union(*map(_atom_names, formulas))
+    walks = rooted_walks(lts, 5)
+    lassos = [convert_lasso(conv, Lasso(*walks[at][0], cycle))
+              for at in sorted(walks) for cycle in simple_cycles_at(lts, at, 6)]
+    shapes = []
+    for _ in range(2):
+        for lasso in lassos:
+            for formula in formulas:
+                eval_ltl(conv, lasso, formula)
+        last, _full, _stem, _cyc, masks = conv._lasso
+        on_it = set().union(*(conv._row(s) for s in
+                              [last.start] + [conv.lts.transition(t).target for t in last.stem]
+                              + [conv.lts.transition(t).target for t in last.cycle]))
+        assert last is lassos[-1] and set(masks) <= on_it | named
+        shapes.append((len(conv._table), len(masks)))
+    assert len(lassos) * len(formulas) > 100
+    assert set(vars(conv)) == {"base", "lts", "tasks", "_names", "_table", "_states", "_lasso"}
+    assert set(conv._table) <= set(conv.lts.state_ids())
+    assert shapes[0] == shapes[1]
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the compiled program and the lasso slot against the
+# recursive evaluator they replaced, kept here as the oracle.
+# ---------------------------------------------------------------------------
+
+def _recursive_eval(conv, lasso, formula):
+    """`eval_ltl` as it was: validates the lasso, reads one row per suffix
+    class and recurses once per subformula, building no table."""
+    lasso.validate(conv.lts)
+    states = [lasso.start] + [conv.lts.transition(tid).target
+                              for tid in lasso.stem + lasso.cycle[:-1]]
+    full = (1 << len(states)) - 1
+    stem = (1 << len(lasso.stem)) - 1
+    cyc = full & ~stem
+    classes = [(1 << i, conv._row(s)) for i, s in enumerate(states)]
+
+    def sat(f):
+        op = f.op
+        if op in ("true", "false"):
+            return full if op == "true" else 0
+        if op == "atom":
+            a = f.atom
+            conv._check(a)
+            out = 0
+            for bit, row in classes:
+                if a in row:
+                    out |= bit
+            return out
+        if op == "not":
+            return full & ~sat(f.args[0])
+        if op in ("and", "or", "implies"):
+            out, *rest = map(sat, f.args)
+            for v in rest:
+                out = out & v if op == "and" else out | v if op == "or" else (full & ~out) | v
+            return out
+        if op == "F":
+            v = sat(f.args[0])
+            return full if v & cyc else (1 << v.bit_length()) - 1
+        if op == "G":
+            v = sat(f.args[0])
+            return full & ~((1 << (stem & ~v).bit_length()) - 1) if v & cyc == cyc else 0
+        raise FormulaError(f"unknown operator {f.op}")
+
+    return bool(sat(formula) & 1)
+
+
+def _criterion_5(lts, conv):
+    """The converted criterion-5 lassos (walks <= 5, one stem per entry,
+    cycles <= 6) and the W and S formula of every notion the system supports."""
     formulas = []
     for notion in ("A", "T", "I", "Z", "C", "G"):
         try:
@@ -532,14 +626,104 @@ def test_cross_check_keeps_one_atom_set_per_state_and_one_entry_per_atom(entry):
     walks = rooted_walks(lts, 5)
     lassos = [convert_lasso(conv, Lasso(*walks[at][0], cycle))
               for at in sorted(walks) for cycle in simple_cycles_at(lts, at, 6)]
-    shapes = []
-    for _ in range(2):
+    return lassos, formulas
+
+
+def test_compiled_eval_matches_the_recursive_one_on_the_criterion_5_replay():
+    compared = Counter()
+    for built in build_all():
+        lts = built.lts
+        if lts.truncated:
+            continue
+        conv, fresh = ltl_convert(lts), ltl_convert(lts)
+        lassos, formulas = _criterion_5(lts, conv)
         for lasso in lassos:
             for formula in formulas:
-                eval_ltl(conv, lasso, formula)
-        shapes.append((len(conv._table), len(conv._checked)))
-    assert len(lassos) * len(formulas) > 100
-    assert set(vars(conv)) == {"base", "lts", "tasks", "_names", "_table", "_checked"}
-    assert set(conv._table) <= set(conv.lts.state_ids())
-    assert conv._checked == set().union(*map(_atom_names, formulas))
-    assert shapes[0] == shapes[1]
+                got = _outcome(eval_ltl, conv, lasso, formula)
+                assert got == _outcome(_recursive_eval, fresh, lasso, formula), \
+                    (built.entry.id, str(lasso), str(formula)[:80])
+                compared[got] += 1
+    assert compared[True] > 1000 and compared[False] > 1000, compared
+
+
+def _drawn_chain_formula(rng, atoms, depth):
+    """Chains of two to five operands, `true`/`false`, and now and then a
+    node of an unknown operator, with or without operands."""
+    if depth == 0 or rng.random() < 0.2:
+        pick = rng.random()
+        if pick < 0.1:
+            return Formula(rng.choice(("true", "false")))
+        if pick < 0.12:
+            return Formula("X")
+        return atom(rng.choice(atoms))
+    kind = "U" if rng.random() < 0.03 else rng.choice(("not", "F", "G", "and", "or", "implies"))
+    if kind in ("not", "F", "G", "U"):
+        return Formula(kind, args=(_drawn_chain_formula(rng, atoms, depth - 1),))
+    return Formula(kind, args=tuple(_drawn_chain_formula(rng, atoms, depth - 1)
+                                    for _ in range(rng.randint(2, 5))))
+
+
+def test_compiled_eval_matches_the_recursive_one_on_drawn_formulas():
+    # drawn formulas on the criterion-5 lassos of three systems and on the
+    # lassos past 64 suffix classes; each formula is asked of two lassos in
+    # turn and of the first again, so the slot is replaced and refilled
+    rng = random.Random(2313)
+    outcomes = Counter()
+    groups = []
+    for entry in ("ex-5.1-exit-loop", "ex-7.1-clerk", "ex-13.1-relabel-ring"):
+        lts = _built(entry)[entry].lts
+        conv = ltl_convert(lts)
+        names = sorted(conv.tasks)[:12]
+        atoms = ([f"{kind}:{n}" for kind in ("enabled", "occurs") for n in names]
+                 + [f"state:{s}" for s in lts.state_ids()[:3]]
+                 + ["enabled:T:nosuch", "state:nosuch", "bogus:x"])
+        groups.append((conv, ltl_convert(lts), _criterion_5(lts, conv)[0][:20], atoms))
+    long = {}  # id of the conversion -> (conversion, its lassos, atoms)
+    for conv, lasso, formula, _ in _long_cases():
+        _, lassos, atoms = long.setdefault(id(conv), (conv, [], set()))
+        lassos.append(lasso)
+        atoms |= _atom_names(formula)
+    groups += [(conv, ltl_convert(conv.base), list(dict.fromkeys(lassos)), sorted(atoms))
+               for conv, lassos, atoms in long.values()]
+    for conv, fresh, lassos, atoms in groups:
+        for _ in range(100):
+            formula = _drawn_chain_formula(rng, atoms, 4)
+            first, second = rng.sample(lassos, 2)
+            for lasso in (first, second, first):
+                got = _outcome(eval_ltl, conv, lasso, formula)
+                assert got == _outcome(_recursive_eval, fresh, lasso, formula), \
+                    (str(lasso), str(formula))
+                outcomes[got if isinstance(got, bool) else got.split(" '")[0]] += 1
+    assert outcomes[True] > 200 and outcomes[False] > 200, outcomes
+    for error in ("unknown operator", "unknown task", "unknown state",
+                  "unknown atomic proposition"):
+        assert any(str(o).startswith(f"FormulaError: {error}") for o in outcomes), error
+
+
+def test_criterion_5_replay_validates_each_lasso_once_and_compiles_each_formula_once(
+        monkeypatch):
+    validated, compiled = Counter(), Counter()
+    validate, program = Lasso.validate, Formula.__dict__["program"].func
+
+    def counted_validate(lasso, lts):
+        validated[lasso, id(lts)] += 1
+        return validate(lasso, lts)
+
+    def counted_program(formula):
+        compiled[id(formula)] += 1
+        return program(formula)
+
+    counted = functools.cached_property(counted_program)
+    counted.__set_name__(Formula, "program")
+    monkeypatch.setattr(Lasso, "validate", counted_validate)
+    monkeypatch.setattr(Formula, "program", counted)
+    lts = _built("ex-7.1-clerk")["ex-7.1-clerk"].lts
+    conv = ltl_convert(lts)
+    lassos, formulas = _criterion_5(lts, conv)
+    validated.clear()
+    for lasso in lassos:
+        for formula in formulas:
+            eval_ltl(conv, lasso, formula)
+    assert len(formulas) == 12 and len(lassos) > 20
+    assert validated == Counter({(lasso, id(conv.lts)): 1 for lasso in lassos})
+    assert compiled == Counter({id(f): 1 for f in formulas})

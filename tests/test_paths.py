@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
-from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, Transition,
+from fairlab.lts import (AnnotationError, AugmentedLTS, SchemaError, State, Task, Transition,
                          from_exploration, load_lts, named_goal, requested)
 from fairlab.parser import parse_ccs
-from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
+from fairlab.paths import (Assumption, Lasso, PathError, PathPrefix, classify_finite,
                            classify_lasso, enabled, enabled_during,
                            parse_assumption, path_from_json,
                            prefix_certificate)
@@ -105,6 +106,31 @@ def test_classify_rotation_and_pumping_invariance():
         want = classify_lasso(lts, base, assumption)
         assert classify_lasso(lts, rotated, assumption) == want, assumption
         assert classify_lasso(lts, pumped, assumption) == want, assumption
+
+
+def test_lasso_validation_errors_and_their_order():
+    # s0 -t0-> s1 -t1-> s0, and a self-loop t2 on s1
+    def t(tid, source, target):
+        return Transition(tid, source, target, parse_label("a"), None, None, False)
+    lts = AugmentedLTS([State("s0", None), State("s1", None)],
+                       [t("t0", "s0", "s1"), t("t1", "s1", "s0"), t("t2", "s1", "s1")], ["s0"])
+    Lasso("s0", ("t0",), ("t2",)).validate(lts)
+    Lasso("s0", (), ("t0", "t2", "t1")).validate(lts)
+    cases = [
+        # each error alone, then with the ones after it in the walk
+        (Lasso("s9", ("t9",), ("t1",)), SchemaError, "unknown state id s9"),
+        (Lasso("s0", ("t0", "t9"), ("t1",)), SchemaError, "unknown transition id t9"),
+        (Lasso("s0", ("t0",), ("t2", "t9")), SchemaError, "unknown transition id t9"),
+        (Lasso("s0", ("t1", "t9"), ("t0",)), PathError,
+         "transition t1 does not continue the path at s0"),
+        (Lasso("s0", ("t0",), ("t2", "t0", "t9")), PathError,
+         "transition t0 does not continue the path at s1"),
+        (Lasso("s0", ("t0",), ("t1",)), PathError, "cycle does not close at the stem's end state"),
+        (Lasso("s0", (), ("t0", "t2")), PathError, "cycle does not close at the stem's end state"),
+    ]
+    for lasso, error, text in cases:
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            lasso.validate(lts)
 
 
 def test_liveness_level_assumptions_rejected_for_paths():
