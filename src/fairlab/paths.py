@@ -107,7 +107,8 @@ class Assumption:
             raise ValueError(f"unknown assumption kind {self.kind!r}")
         if self.kind in ("J", "W", "S"):
             if self.notion not in NOTIONS and self.notion != "custom":
-                raise ValueError(f"assumption {self.kind} needs a notion or custom tasks")
+                raise ValueError(f"unknown notion {self.notion!r} for {self.kind}; "
+                                 f"known: {', '.join(NOTIONS)}, custom=FILE")
             if self.notion == "custom" and self.taskset is None:
                 raise ValueError("custom notion needs an explicit task set")
 
@@ -176,10 +177,15 @@ def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False
 def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
                   reactive: bool = False) -> set[int]:
     """Indices of the tasks of ts enabled in the state."""
-    mask = 0
-    for t in lts.outgoing(state, reactive):
-        mask |= ts.containing.get(t.id, 0)
-    return set(task_indices(mask))
+    return set(task_indices(task_mask(ts, lts.outgoing(state, reactive))))
+
+
+def task_mask(ts: TaskSet, transitions) -> int:
+    """The tasks of ts holding one of the transitions, as a mask."""
+    mask, containing = 0, ts.containing
+    for t in transitions:
+        mask |= containing.get(t.id, 0)
+    return mask
 
 
 def task_indices(mask: int) -> Iterator[int]:
@@ -221,17 +227,14 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
         return _just_lasso(lts, lasso, reactive)
     cyc_states = sorted(lasso.cycle_states(lts))
     ts = resolve_tasks(lts, assumption)
-    containing = ts.containing
     occurring = 0
     for u in lasso.cycle:
-        occurring |= containing.get(u, 0)
+        occurring |= ts.containing.get(u, 0)
     union, perpetual = 0, -1  # perpetual: enabled at every cycle state, never taken
     for s in cyc_states:
-        owed = 0
-        for t in lts.outgoing(s, reactive):
-            owed |= containing.get(t.id, 0)
-        union |= owed & ~occurring
-        perpetual &= owed & ~occurring
+        owed = task_mask(ts, lts.outgoing(s, reactive)) & ~occurring
+        union |= owed
+        perpetual &= owed
     if kind == "S":
         return not union
     if kind == "SWI":  # task "I:i" is instruction i

@@ -4,6 +4,7 @@ probabilistic estimation, and hierarchy checking."""
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import math
 import random
@@ -13,9 +14,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
-                  read_json, validate_side_conditions)
+                  read_json, requests, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_lasso, complete_at,
-                    enabled_tasks, just_stem, task_indices)
+                    enabled_tasks, just_stem, resolve_tasks, task_indices, task_mask)
 
 
 @dataclass
@@ -109,9 +110,12 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
     """holds=yes iff no assumption-fair complete rooted path avoids the goal.
 
     Finite counterexamples are complete finite paths inside the goal-avoiding
-    region; infinite ones are found by enumerating strongly connected state
-    subsets of that region (with all induced transitions as cycle support)
-    and re-verifying a constructed witness lasso.
+    region; infinite ones are found by enumerating the strongly connected
+    state subsets of each of its SCCs (with all induced transitions as cycle
+    support) and re-verifying a constructed witness lasso.  Under S:y, SWI
+    and justness an SCC is first cut to the states on its fair subsets
+    (`_fair_states`); no fair subset loses a state and the enumeration keeps
+    its order, so each witness is the one the whole SCC gives.
     """
     name = str(assumption)
     if lts.truncated:
@@ -311,9 +315,46 @@ def _covering_cycle(edges: list, entry: str):
     return walk + list(path(at, entry))
 
 
+def _fair_states(lts: AugmentedLTS, region: _Region, scc: list[str],
+                 assumption: Assumption) -> list[str]:
+    """The SCC's states on a strongly connected set fair under S:y, SWI or
+    justness, sorted (Emerson & Lei).  A set loses each state that enables a
+    task never taken inside it (for SWI, one requested at all its states) or
+    owes justness a component none of its steps has, and what is left splits
+    into SCCs again.  A deleted state makes every subset holding it unfair."""
+    kind, reactive = assumption.kind, assumption.reactive
+    if kind != "Just":
+        ts = resolve_tasks(lts, assumption)
+        enabled = {s: task_mask(ts, lts.outgoing(s, reactive)) for s in scc}
+    kept, work = [], [set(scc)]
+    while work:
+        live = work.pop()
+        steps = [t for s in live for t in region.out[s] if t.target in live]
+        if not steps:
+            continue
+        if kind == "Just":
+            comps = frozenset().union(*(lts.comp_of(t.id) for t in steps))
+            bad = {s for s in live if not all(c & comps for c in _obligations(lts, s, reactive))}
+        else:
+            served = task_mask(ts, steps)
+            if kind == "SWI":  # task "I:i" is owed only if instruction i is always requested
+                asked = frozenset.intersection(*(requests(lts, s) for s in live))
+                served |= sum(1 << k for k, t in enumerate(ts.tasks) if t.name[2:] not in asked)
+            bad = {s for s in live if enabled[s] & ~served}
+        if not bad:
+            kept += live
+        elif rest := live - bad:
+            work += map(set, _scc_partition(rest, lambda v: rest.intersection(region.succ[v])))
+    return sorted(kept)
+
+
 def _fair_cycle_witness(lts: AugmentedLTS, region: _Region,
                         assumption: Assumption) -> Lasso | None:
+    refine = assumption.kind in ("S", "SWI", "Just")
     for scc in region.sccs:
+        # on an error (each is a ValueError) the whole SCC is enumerated, raising it as before
+        with contextlib.suppress(ValueError):
+            scc = _fair_states(lts, region, scc, assumption) if refine else scc
         for cset_list in _strongly_connected_subsets(scc, region.succ.__getitem__):
             cset = set(cset_list)
             edges = [t for s in cset_list for t in region.out[s] if t.target in cset]

@@ -606,6 +606,14 @@ def test_custom_tasks_apply_to_j_w_s_only(capsys):
     assert json.loads(capsys.readouterr().out)["assumption"] == "S:custom,reactive"
 
 
+def test_unknown_notion_is_named_with_the_known_ones(capsys):
+    lts = str(DATA / "ex-4.2-mutex-mem.json")
+    for assume, notion in (("W:Q", "'Q'"), ("S:,reactive", "''"), ("J:a", "'a'")):
+        assert main(["liveness", lts, "--goal", "crit", "--assume", assume]) == 1
+        assert _one_line_error(capsys) == (f"error: unknown notion {notion} for {assume[0]}; "
+                                           "known: A, T, I, Z, C, G, custom=FILE")
+
+
 def test_swi_errors_where_it_cannot_judge(tmp_path, capsys):
     # prob-notagef has no instr: SWI needs the instruction tasks, so s0's
     # empty path is not called a complete run

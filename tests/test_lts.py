@@ -292,6 +292,23 @@ def test_liveness_builds_one_region_table_per_goal(monkeypatch):
     assert calls == {"_scc_partition": 1, "reachable_states": 2, "classify_finite": 0}
 
 
+def test_refined_rows_enumerate_no_subset_of_the_ring(monkeypatch):
+    """ring(14)'s goal-avoiding SCC is its 14-state a-cycle, where done is
+    enabled throughout and never occurs: S:y, SWI and justness delete every
+    state before enumerating, so they test no subset for strong
+    connectedness, while W:A, which is not refined, tests all 2^14 - 1."""
+    calls = []
+    real = verify._is_strongly_connected
+    monkeypatch.setattr(verify, "_is_strongly_connected",
+                        lambda *args: calls.append(1) or real(*args))
+    lts = from_exploration(explore(parse_ccs(_ring(14))))
+    goal = goal_states(lts, GoalSpec.component_at("R", "0"))
+    for text in [f"S:{y}" for y in NOTIONS] + ["SWI", "just", "W:A"]:
+        calls.clear()
+        assert verify.liveness(lts, goal, parse_assumption(text)).holds == "yes"
+        assert len(calls) == (2 ** 14 - 1 if text == "W:A" else 0), text
+
+
 def test_side_conditions_on_a_component_nested_600_deep():
     """The request table keys a component by its printed text: hashing a
     term nested 600 deep would exhaust the stack."""

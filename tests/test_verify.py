@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from test_classify_oracle import _random_system
+from test_goal_oracle import _damage
+
+from fairlab import verify
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition,
@@ -509,3 +514,84 @@ def test_liveness_verdicts_do_not_depend_on_query_order():
     assert not problems, problems[:5]
     assert systems > 20, systems
 
+
+# S:y, SWI and justness, plain and reactive: the families whose SCCs are
+# refined before their subsets are enumerated.
+_REFINED = [parse_assumption(text + reactive)
+            for text in [f"S:{y}" for y in NOTIONS] + ["SWI", "just"]
+            for reactive in ("", ",reactive")]
+
+
+def _liveness_text(lts, goal, assumption) -> str:
+    """The verdict's JSON, or the type and text of any fairlab error."""
+    try:
+        return json.dumps(liveness(lts, goal, assumption).to_json())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _oracle_fair_states(lts, region, scc, assumption) -> list[str]:
+    """The states of the SCC's strongly connected subsets whose covering
+    cycle, with an empty stem, is fair: what the enumeration would accept."""
+    found = set()
+    for states in verify._strongly_connected_subsets(scc, region.succ.__getitem__):
+        edges = [t for s in states for t in region.out[s] if t.target in states]
+        cycle = verify._covering_cycle(edges, states[0])
+        if classify_lasso(lts, Lasso(states[0], (), tuple(cycle)), assumption):
+            found.update(states)
+    return sorted(found)
+
+
+def _compare_refined(monkeypatch, lts, goal, assumptions, tally) -> None:
+    """Verdict or error text with the refinement and with it replaced by the
+    identity, which is the unpruned enumeration; and the refined states of
+    each SCC against the states of the fair subsets the enumeration finds."""
+    refine = verify._fair_states
+    region = verify._region(lts, goal)
+    for a in assumptions:
+        outcomes = []
+        for fn in (refine, lambda lts, region, scc, assumption: scc):
+            monkeypatch.setattr(verify, "_fair_states", fn)
+            outcomes.append(_liveness_text(lts, goal, a))
+        monkeypatch.setattr(verify, "_fair_states", refine)
+        assert outcomes[0] == outcomes[1], (sorted(goal), str(a))
+        text = outcomes[0]
+        tally[json.loads(text)["holds"] if text.startswith("{") else text.split(":")[0]] += 1
+        for scc in region.sccs:
+            try:
+                kept = refine(lts, region, scc, a)
+            except ValueError:
+                continue
+            assert kept == _oracle_fair_states(lts, region, scc, a), (scc, str(a))
+            tally["pruned"] += kept != scc
+
+
+def test_refinement_keeps_the_enumerations_verdicts_and_errors(monkeypatch):
+    """On random systems, fully or partly annotated, every corpus goal, and
+    CCS corpus systems reloaded with one state text damaged (under SWI), the
+    refined search gives the unpruned enumeration's verdict JSON or error
+    text, and keeps exactly the states of the fair strongly connected subsets."""
+    tally, rng = Counter(), random.Random(24)
+    systems = _random_goal_systems()
+    for instr_missing, comp_missing in ((0, 0), (0.3, 0), (0, 0.3), (0.3, 0.3)):
+        for _ in range(100):
+            lts = _random_system(rng, instr_missing, comp_missing)
+            systems.append((lts, frozenset(s.id for s in lts.states if rng.random() < 0.3)))
+    for lts, goal in systems:
+        _compare_refined(monkeypatch, lts, goal, _REFINED, tally)
+    swi = [a for a in _REFINED if a.kind == "SWI"]
+    for built in build_all():
+        lts = built.lts
+        if lts.truncated:
+            continue
+        goals = [named_goal(lts, name) for name in sorted(lts.goals)] + [frozenset()]
+        for goal in goals:
+            _compare_refined(monkeypatch, lts, goal, _REFINED, tally)
+        for _ in range(8 if built.entry.kind == "ccs" else 0):
+            doc = json.loads(save_lts(lts))
+            state = rng.choice(doc["states"])
+            state["expr"] = _damage(state["expr"], rng)
+            for goal in goals:
+                _compare_refined(monkeypatch, load_lts(json.dumps(doc)), goal, swi, tally)
+    assert tally["no"] > 12000 and tally["AnnotationError"] > 6000, tally
+    assert tally["ParseError"] > 50 and tally["pruned"] > 5000, tally
