@@ -423,13 +423,6 @@ def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
     return instruction in requests(lts, state)
 
 
-def requested_if_present(lts: AugmentedLTS, instruction: str, state: str) -> bool:
-    """`requested`, with an unknown instruction or an absent component
-    requesting nothing; a system not of ccs origin, or a state without an
-    expression, still raises."""
-    return instruction in requests(lts, state)
-
-
 def requests(lts: AugmentedLTS, state: str) -> frozenset[str]:
     """R(state): the instructions requested in a state of a ccs-origin
     system, the union over its components of what each can fire on its own.

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .lts import AugmentedLTS, Task, TaskSet, read_json, requested_if_present
+from .lts import AugmentedLTS, Task, TaskSet, read_json, requests
 from .tasks import NOTIONS, extract_tasks
 
 
@@ -62,10 +62,6 @@ class Lasso:
         entry = _walk(lts, self.start, self.stem)
         if _walk(lts, entry, self.cycle) != entry:
             raise PathError("cycle does not close at the stem's end state")
-
-    def cycle_states(self, lts: AugmentedLTS) -> tuple[str, ...]:
-        """The states the cycle leaves, in cycle order, each once."""
-        return tuple(dict.fromkeys(lts.transition(t).source for t in self.cycle))
 
     def to_json(self) -> dict:
         return {"start": self.start, "stem": list(self.stem), "cycle": list(self.cycle)}
@@ -206,55 +202,77 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     relentlessly enabled iff enabled at a recurring state, perpetually
     enabled on a suffix iff enabled at every recurring state, and occurs
     infinitely often iff it meets the cycle.  Justness additionally owes an
-    interference to every transition enabled along the stem.
-
-    For J/W/S a set of tasks is one int mask, bit k for task k: the cycle's
-    transitions OR into the tasks that occur, each cycle state's outgoing
-    ones into the tasks enabled there.  S holds when no cycle state enables
-    a task that never occurs, W when no such task is enabled at every one.
-    J asks enabled-during of the latter over the cycle's steps in sorted
-    order, SWI requested-ness of the former; both in task order, so every
-    rotation of a cycle is judged alike, errors included.
+    interference to every transition enabled along the stem (`just_stem`).
+    The cycle is judged by `unfair_states` over its states and steps in
+    sorted order, so every rotation of a cycle is judged alike, errors
+    included.
     """
     if not assumption.pathwise():
         raise ValueError(f"{assumption.kind} is a liveness-level assumption, "
                          "not a path predicate")
     lasso.validate(lts)
+    steps = sorted(set(lasso.cycle))
+    if assumption.kind == "Just" and lasso.stem:
+        cycle_comp = frozenset().union(*(lts.comp_of(u) for u in steps))
+        if not just_stem(lts, lasso.start, lasso.stem, cycle_comp, assumption.reactive):
+            return False
+    states = sorted({lts.transition(u).source for u in steps})
+    return not unfair_states(lts, states, steps, assumption)
+
+
+def unfair_states(lts: AugmentedLTS, states: list[str], steps: list[str],
+                  assumption: Assumption) -> list[str]:
+    """The states that make a strongly connected set unfair when a path
+    visits them forever and takes exactly the transitions `steps` forever;
+    `states` and `steps` come sorted, and the set is fair iff none is found.
+
+    For J/W/S a set of tasks is one int mask, bit k for task k: the steps
+    OR into the tasks that occur, each state's outgoing transitions into the
+    tasks enabled there.  Under S each state that enables a task no step
+    takes is unfair; under SWI each that enables such a task whose
+    instruction every state requests (requests are read only when a task is
+    owed).  Under W and J every state is, when a task never taken is enabled
+    at all of them (for J, enabled during every step, asked in task order).
+    Under justness each state is unfair that owes an obligation no step's
+    components touch; every state's obligations are read.  P owes nothing.
+    """
     kind, reactive = assumption.kind, assumption.reactive
     if kind == "P":
-        return True
+        return []
     if kind == "Just":
-        return _just_lasso(lts, lasso, reactive)
-    cyc_states = sorted(lasso.cycle_states(lts))
+        comps = frozenset().union(*(lts.comp_of(u) for u in steps))
+        return [s for s in states if not all(c & comps for c in obligations(lts, s, reactive))]
     ts = resolve_tasks(lts, assumption)
     occurring = 0
-    for u in lasso.cycle:
+    for u in steps:
         occurring |= ts.containing.get(u, 0)
-    union, perpetual = 0, -1  # perpetual: enabled at every cycle state, never taken
-    for s in cyc_states:
-        owed = task_mask(ts, lts.outgoing(s, reactive)) & ~occurring
-        union |= owed
-        perpetual &= owed
-    if kind == "S":
-        return not union
-    if kind == "SWI":  # task "I:i" is instruction i
-        return not any(all(requested_if_present(lts, ts.tasks[k].name[2:], s)
-                           for s in cyc_states)
-                       for k in task_indices(union))
+    owed, union, perpetual = [], 0, -1  # perpetual: owed at every state
+    for s in states:
+        mask = task_mask(ts, lts.outgoing(s, reactive)) & ~occurring
+        owed.append(mask)
+        union |= mask
+        perpetual &= mask
+    if kind == "W":
+        return list(states) if perpetual else []
     if kind == "J":
-        steps = sorted(lasso.cycle)
-        return not any(all(enabled_during(lts, ts.tasks[k], u, reactive) for u in steps)
-                       for k in task_indices(perpetual))
-    return not perpetual
+        unfair = any(all(enabled_during(lts, ts.tasks[k], u, reactive) for u in steps)
+                     for k in task_indices(perpetual))
+        return list(states) if unfair else []
+    if kind == "SWI" and union:  # task "I:i" is owed only if instruction i is always requested
+        asked = frozenset.intersection(*(requests(lts, s) for s in states))
+        union = sum(1 << k for k in task_indices(union) if ts.tasks[k].name[2:] in asked)
+    bad = []
+    for s, mask in zip(states, owed):
+        if mask & union:
+            bad.append(s)
+    return bad
 
 
-def _just_lasso(lts: AugmentedLTS, lasso: Lasso, reactive: bool) -> bool:
-    cycle_comp = frozenset().union(*(lts.comp_of(u) for u in lasso.cycle))
-    if not just_stem(lts, lasso.start, lasso.stem, cycle_comp, reactive):
-        return False
-    # every occurrence of a cycle state is followed by the whole cycle
-    return all((t.comp or lts.comp_of(t.id)) & cycle_comp
-               for s in lasso.cycle_states(lts) for t in lts.outgoing(s, reactive))
+def obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset[str], ...]:
+    """The component sets the transitions of state sid (non-blocking ones,
+    when reactive) oblige a just path to interfere with, read whole."""
+    return lts.memo(("obligations", sid, reactive), lambda: tuple(
+        lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
 
 
 def just_stem(lts: AugmentedLTS, start: str, stem: tuple[str, ...],
@@ -262,13 +280,12 @@ def just_stem(lts: AugmentedLTS, start: str, stem: tuple[str, ...],
     """Justness on a stem: every transition enabled at stem position k
     (non-blocking ones, when reactive) shares a component with stem[k:], the
     step leaving k included, or with the cycle's components cycle_comp.  The
-    scan is lazy, in stem order, so it raises AnnotationError only for a
-    component set it needs."""
+    scan runs in stem order and reads each stem state's `obligations` whole,
+    so it raises AnnotationError only for a state it reaches."""
     at = start
     for k, step in enumerate(stem):
-        for t in lts.outgoing(at, reactive):
-            tcomp = t.comp or lts.comp_of(t.id)  # comp_of raises when comp is unset
-            if not (tcomp & cycle_comp or any(lts.comp_of(u) & tcomp for u in stem[k:])):
+        for c in obligations(lts, at, reactive):
+            if not (c & cycle_comp or any(lts.comp_of(u) & c for u in stem[k:])):
                 return False
         at = lts.transition(step).target
     return True

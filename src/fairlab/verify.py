@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
-                  read_json, requests, validate_side_conditions)
+                  read_json, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_lasso, complete_at,
-                    enabled_tasks, just_stem, resolve_tasks, task_indices, task_mask)
+                    enabled_tasks, just_stem, obligations, task_indices, unfair_states)
 
 
 @dataclass
@@ -112,10 +112,11 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
     Finite counterexamples are complete finite paths inside the goal-avoiding
     region; infinite ones are found by enumerating the strongly connected
     state subsets of each of its SCCs (with all induced transitions as cycle
-    support) and re-verifying a constructed witness lasso.  Under S:y, SWI
-    and justness an SCC is first cut to the states on its fair subsets
-    (`_fair_states`); no fair subset loses a state and the enumeration keeps
-    its order, so each witness is the one the whole SCC gives.
+    support), judging each by `paths.unfair_states`, and re-verifying a
+    witness lasso built from a fair one.  Under S:y, SWI and justness an SCC
+    is first cut to the states on its fair subsets (`_fair_states`, by the
+    same judge); no fair subset loses a state and the enumeration keeps its
+    order, so each witness is the one the whole SCC gives.
     """
     name = str(assumption)
     if lts.truncated:
@@ -318,33 +319,22 @@ def _covering_cycle(edges: list, entry: str):
 def _fair_states(lts: AugmentedLTS, region: _Region, scc: list[str],
                  assumption: Assumption) -> list[str]:
     """The SCC's states on a strongly connected set fair under S:y, SWI or
-    justness, sorted (Emerson & Lei).  A set loses each state that enables a
-    task never taken inside it (for SWI, one requested at all its states) or
-    owes justness a component none of its steps has, and what is left splits
-    into SCCs again.  A deleted state makes every subset holding it unfair."""
-    kind, reactive = assumption.kind, assumption.reactive
-    if kind != "Just":
-        ts = resolve_tasks(lts, assumption)
-        enabled = {s: task_mask(ts, lts.outgoing(s, reactive)) for s in scc}
-    kept, work = [], [set(scc)]
+    justness, sorted (Emerson & Lei).  A set loses the states `unfair_states`
+    names, and what is left splits into SCCs again.  Under these assumptions
+    a state is named for a reason every subset holding it shares, so a
+    deleted state makes every such subset unfair."""
+    kept, work = [], [scc]
     while work:
         live = work.pop()
-        steps = [t for s in live for t in region.out[s] if t.target in live]
+        inside = set(live)
+        steps = sorted(t.id for s in live for t in region.out[s] if t.target in inside)
         if not steps:
             continue
-        if kind == "Just":
-            comps = frozenset().union(*(lts.comp_of(t.id) for t in steps))
-            bad = {s for s in live if not all(c & comps for c in _obligations(lts, s, reactive))}
-        else:
-            served = task_mask(ts, steps)
-            if kind == "SWI":  # task "I:i" is owed only if instruction i is always requested
-                asked = frozenset.intersection(*(requests(lts, s) for s in live))
-                served |= sum(1 << k for k, t in enumerate(ts.tasks) if t.name[2:] not in asked)
-            bad = {s for s in live if enabled[s] & ~served}
+        bad = unfair_states(lts, live, steps, assumption)
         if not bad:
             kept += live
-        elif rest := live - bad:
-            work += map(set, _scc_partition(rest, lambda v: rest.intersection(region.succ[v])))
+        elif rest := inside.difference(bad):
+            work += _scc_partition(rest, lambda v: rest.intersection(region.succ[v]))
     return sorted(kept)
 
 
@@ -358,12 +348,10 @@ def _fair_cycle_witness(lts: AugmentedLTS, region: _Region,
         for cset_list in _strongly_connected_subsets(scc, region.succ.__getitem__):
             cset = set(cset_list)
             edges = [t for s in cset_list for t in region.out[s] if t.target in cset]
+            if unfair_states(lts, cset_list, sorted(t.id for t in edges), assumption):
+                continue
             entry = cset_list[0]
             cycle = _covering_cycle(edges, entry)
-            # quick cycle-level test with an empty stem anchored at the entry
-            probe = Lasso(entry, (), tuple(cycle))
-            if not classify_lasso(lts, probe, assumption):
-                continue
             stem = _find_stem(lts, region.states, entry, cycle, assumption)
             if stem is None:
                 continue
@@ -387,7 +375,7 @@ def _find_stem(lts: AugmentedLTS, region: set[str], entry: str, cycle: list[str]
     comp_u = frozenset().union(*(lts.comp_of(tid) for tid in cycle))
 
     def owed(sid: str) -> frozenset[frozenset[str]]:
-        return frozenset(c for c in _obligations(lts, sid, assumption.reactive)
+        return frozenset(c for c in obligations(lts, sid, assumption.reactive)
                          if not (c & comp_u))
 
     def moves(node):
@@ -567,13 +555,6 @@ def _cycle_sets(lts: AugmentedLTS, entry: str, max_len: int):
         (cycle, frozenset(cycle)) for cycle in simple_cycles_at(lts, entry, max_len)])
 
 
-def _obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset[str], ...]:
-    """The component sets the transitions of state sid (non-blocking ones,
-    when reactive) oblige a just path to interfere with."""
-    return lts.memo(("obligations", sid, reactive), lambda: tuple(
-        lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
-
-
 class UnknownCondition(ValueError):
     """A required side-condition tag that names no condition."""
 
@@ -626,7 +607,7 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
         for a in (stronger, weaker):
             if a.kind == "Just":
                 for s in lts.states:
-                    _obligations(lts, s.id, a.reactive)
+                    obligations(lts, s.id, a.reactive)
         for entry in sorted(walks):
             stems = walks[entry]
             for cycle, cset in _cycle_sets(lts, entry, bounds.cycle):
@@ -709,6 +690,8 @@ def parse_weights(document: str) -> dict[str, Fraction]:
     out = {}
     for tid, value in doc["weights"].items():
         try:
+            if isinstance(value, bool):  # a bool is an int to Fraction: true would be 1
+                raise TypeError(value)
             out[tid] = Fraction(value)
         except (TypeError, ValueError, ArithmeticError):
             raise SchemaError(f"weight of transition {tid!r} is not a number") from None

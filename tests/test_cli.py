@@ -21,7 +21,7 @@ from fairlab.cli import main
 from fairlab.lts import (AnnotationError, from_exploration, load_lts, named_goal, requested,
                          save_lts)
 from fairlab.parser import parse_ccs
-from fairlab.paths import Assumption, Lasso, PathPrefix
+from fairlab.paths import Assumption, Lasso, PathPrefix, classify_lasso, parse_assumption
 from fairlab.semantics import explore
 from fairlab.tasks import NOTIONS
 from fairlab.verify import Bounds, hierarchy_check, liveness, simple_cycles_at, simulate
@@ -462,6 +462,7 @@ def test_simulate_bad_weights_files_name_file_and_key(tmp_path, capsys):
         "list": ({"weights": [1, 2]}, '"weights" object'),
         "nested": ({"weights": {"tg": [1]}}, "'tg' is not a number"),
         "text": ({"weights": {"tg": "x"}}, "'tg' is not a number"),
+        "bool": ({"weights": {"tg": True, "tb": False}}, "'tg' is not a number"),
         "missing": ({"weight": {"tg": 1}}, '"weights" object'),
         "typo": ({"weights": {"tgg": 1}}, "unknown transition 'tgg'"),
         "zero": ({"weights": {"tb": 0}}, "non-positive weight for transition tb"),
@@ -626,6 +627,32 @@ def test_swi_errors_where_it_cannot_judge(tmp_path, capsys):
     assert main(["classify", str(DATA / "ex-13.1.json"), str(lasso), "--assume", "SWI"]) == 1
     assert _one_line_error(capsys) == ("error: instruction projection needs a "
                                        "ccs-origin system")
+
+
+def test_justness_judges_every_rotation_of_a_cycle_alike(tmp_path, capsys):
+    # s0's self-loop t1 has no component set; justness reads every cycle
+    # state's obligations, so both rotations of the cycle t2 t4 raise, where
+    # reading s1 first used to call one of them unjust
+    edges = [("t0", "s1", "s1", ["M", "R"], True), ("t1", "s0", "s0", None, False),
+             ("t2", "s0", "s1", ["M"], False), ("t3", "s1", "s0", ["R"], True),
+             ("t4", "s1", "s0", ["M"], False)]
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({
+        "states": [{"id": "s0"}, {"id": "s1"}],
+        "transitions": [{"id": tid, "source": src, "target": dst, "label": "a",
+                         "blocking": blocking, **({"comp": comp} if comp else {})}
+                        for tid, src, dst, comp, blocking in edges],
+        "initial": ["s0"]}))
+    lts = load_lts(system.read_text())
+    want = "transition t1 carries no component set"
+    for start, cycle in (("s0", ["t2", "t4"]), ("s1", ["t4", "t2"])):
+        lasso = tmp_path / f"{start}.json"
+        lasso.write_text(json.dumps({"start": start, "cycle": cycle}))
+        for assume in ("just", "just,reactive"):
+            with pytest.raises(AnnotationError, match=want):
+                classify_lasso(lts, Lasso(start, (), tuple(cycle)), parse_assumption(assume))
+            assert main(["classify", str(system), str(lasso), "--assume", assume]) == 1
+            assert _one_line_error(capsys) == f"error: {want}"
 
 
 def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys):

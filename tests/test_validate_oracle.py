@@ -28,8 +28,7 @@ import pytest
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
 from fairlab.lts import (AugmentedLTS, ConditionReport, State, Transition, _solve_cmp as solve_cmp,
-                         from_exploration, requested, requested_if_present,
-                         validate_side_conditions)
+                         from_exploration, requested, requests, validate_side_conditions)
 from fairlab.parser import parse_ccs
 from fairlab.semantics import explore
 
@@ -73,7 +72,7 @@ def _validate(lts: AugmentedLTS) -> list[ConditionReport]:
                      for i in sorted({j for t in lts.outgoing(sid) for j in t.instr})
                      if not requested(lts, i, sid)), "")
         bad5 = next((f"instruction {i} requested in {sid} but not after {u.id}"
-                     for sid in sids for i in instrs if requested_if_present(lts, i, sid)
+                     for sid in sids for i in instrs if i in requests(lts, sid)
                      for u in lts.outgoing(sid)
                      if cmp[i] not in u.comp and not requested(lts, i, u.target)), "")
         out.append(ConditionReport("(4) enabled implies requested", not bad4, True, bad4))

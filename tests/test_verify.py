@@ -545,7 +545,9 @@ def _oracle_fair_states(lts, region, scc, assumption) -> list[str]:
 def _compare_refined(monkeypatch, lts, goal, assumptions, tally) -> None:
     """Verdict or error text with the refinement and with it replaced by the
     identity, which is the unpruned enumeration; and the refined states of
-    each SCC against the states of the fair subsets the enumeration finds."""
+    each SCC against the states of the fair subsets the enumeration finds,
+    where neither raises.  (Under SWI a set that owes no task keeps its
+    states without reading requests, which a smaller subset may raise on.)"""
     refine = verify._fair_states
     region = verify._region(lts, goal)
     for a in assumptions:
@@ -560,9 +562,10 @@ def _compare_refined(monkeypatch, lts, goal, assumptions, tally) -> None:
         for scc in region.sccs:
             try:
                 kept = refine(lts, region, scc, a)
+                expected = _oracle_fair_states(lts, region, scc, a)
             except ValueError:
                 continue
-            assert kept == _oracle_fair_states(lts, region, scc, a), (scc, str(a))
+            assert kept == expected, (scc, str(a))
             tally["pruned"] += kept != scc
 
 
