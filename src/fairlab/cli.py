@@ -8,13 +8,14 @@ identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import inspect
 import json
 import os
 import sys
 from functools import partial
 
-from .corpus import run_corpus
+from .corpus import corpus_entries, run_corpus
 from .lts import (AugmentedLTS, TaskSet, from_exploration, load_lts, named_goal,
                   save_lts, validate_side_conditions)
 from .ltl import convert_lasso, eval_ltl, ltl_convert, parse_formula
@@ -262,6 +263,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if not any(fnmatch.fnmatch(e.id, args.filter) for e in corpus_entries()):
+        raise SystemExit2(f"no corpus entry matches {args.filter!r}")
     results, okay = run_corpus(args.filter)
     for r in results:
         print(r.line())

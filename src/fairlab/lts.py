@@ -88,6 +88,12 @@ class GoalPredicate:
     path: str = ""
     states: frozenset[str] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("state_is", "component_at", "explicit"):
+            raise SchemaError(f"unknown goal predicate kind {self.kind}")
+        if self.kind == "component_at" and set(self.path) - {"L", "R"}:
+            raise SchemaError(f"component path {self.path!r} is not a word over L and R")
+
 
 @dataclass(frozen=True)
 class GoalSpec:
@@ -141,6 +147,8 @@ class AugmentedLTS:
         for s in self.initial:
             if s not in ids:
                 raise SchemaError(f"initial state {s} unknown")
+            if self.initial.count(s) > 1:
+                raise SchemaError(f"initial state {s} listed twice")
         for name, ts in self.tasks.items():
             for task in ts.tasks:
                 for m in task.members:
@@ -236,8 +244,6 @@ def _goal_to_json(g: GoalSpec) -> dict:
             out.append({"kind": "state_is", "expr": d.expr})
         elif d.kind == "component_at":
             out.append({"kind": "component_at", "path": d.path, "expr": d.expr})
-        else:
-            raise SchemaError(f"unknown goal predicate kind {d.kind}")
     return {"disjuncts": out}
 
 
@@ -251,11 +257,10 @@ def _goal_from_json(doc) -> GoalSpec:
             states = _list_of(d.get("states"), str, "explicit goal states")
             preds.append(GoalPredicate("explicit", states=frozenset(states)))
         elif kind in ("state_is", "component_at"):
-            pred = GoalPredicate(kind, expr=d.get("expr"),
-                                 path=d.get("path", "") if kind == "component_at" else "")
-            if not (isinstance(pred.expr, str) and isinstance(pred.path, str)):
+            expr, path = d.get("expr"), d.get("path", "") if kind == "component_at" else ""
+            if not (isinstance(expr, str) and isinstance(path, str)):
                 raise SchemaError(f'a {kind} goal needs string "expr" and "path" fields')
-            preds.append(pred)
+            preds.append(GoalPredicate(kind, expr=expr, path=path))
         else:
             raise SchemaError(f"unknown goal predicate kind {kind}")
     return GoalSpec(tuple(preds))
@@ -382,8 +387,6 @@ def goal_states(lts: AugmentedLTS, goal: GoalSpec) -> frozenset[str]:
                 comp = project(lts.state_expr(s.id), d.path)
                 if comp is not None and print_expr(comp) == want:
                     out.add(s.id)
-        else:
-            raise SchemaError(f"unknown goal predicate kind {d.kind}")
     return frozenset(out)
 
 
@@ -573,9 +576,3 @@ def _solve_cmp(lts: AugmentedLTS) -> str:
     if k < 0 or any(comp for _, comp in last.get(None, ())):
         return "no consistent cmp assignment found"
     return ""
-
-
-def isomorphic(a: AugmentedLTS, b: AugmentedLTS) -> bool:
-    """Id-preserving structural equality (the round-trip contract)."""
-    return save_lts(a) == save_lts(b)
-

@@ -19,8 +19,7 @@ from typing import NamedTuple
 from .labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
 from .syntax import (Choice, Expr, Fix, Nil, Par, Prefix, ProcessSpec, RecSpec,
                      Relabel, Restrict, Span, Var, build, copier, depth_guarded, free_vars,
-                     instruction_paths, iter_prefixes, naming_violation, print_expr,
-                     substitute, walk)
+                     instruction_paths, iter_prefixes, naming_violation, substitute, walk)
 
 
 class ParseError(ValueError):
@@ -484,8 +483,3 @@ def parse_ccs(text: str) -> ProcessSpec:
     return ProcessSpec(root=named, name_table=table,
                        cmp_map={name: where[0] for name, where in paths.items()},
                        nonblocking=frozenset(nonblocking))
-
-
-def roundtrips(spec: ProcessSpec) -> bool:
-    """parse . print identity on the elaborated root."""
-    return parse_expression(print_expr(spec.root)) == spec.root

@@ -170,10 +170,9 @@ def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False
                for t in lts.outgoing(lts.transition(u).source, reactive))
 
 
-def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str,
-                  reactive: bool = False) -> set[int]:
+def enabled_tasks(lts: AugmentedLTS, ts: TaskSet, state: str) -> set[int]:
     """Indices of the tasks of ts enabled in the state."""
-    return set(task_indices(task_mask(ts, lts.outgoing(state, reactive))))
+    return set(task_indices(task_mask(ts, lts.outgoing(state))))
 
 
 def task_mask(ts: TaskSet, transitions) -> int:

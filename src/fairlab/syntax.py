@@ -322,11 +322,6 @@ def well_named(e: Expr) -> bool:
 ComponentPath = str  # word over {L, R}; "" is the whole system
 
 
-def component_paths(e: Expr) -> set[ComponentPath]:
-    """Prefix-closed set of component paths of e (wrappers are transparent)."""
-    return {path for _, path in walk(e)}
-
-
 def instruction_paths(e: Expr) -> dict[str, list[ComponentPath]]:
     """Innermost parallel arm of every instruction occurrence in e, by name,
     in walk order.

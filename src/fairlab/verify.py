@@ -3,7 +3,6 @@ probabilistic estimation, and hierarchy checking."""
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import itertools
 import math
@@ -16,7 +15,7 @@ from typing import NamedTuple
 from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
                   read_json, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_lasso, complete_at,
-                    enabled_tasks, just_stem, obligations, task_indices, unfair_states)
+                    enabled_tasks, just_stem, obligations, unfair_states)
 
 
 @dataclass
@@ -425,10 +424,9 @@ def _schedule(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
     """The priority-queue scheduler from the end of prefix.  Each step appends
     a column, the names of the tasks enabled now in name order, to the queue;
     pops the earliest entry whose task is enabled now; and takes that task's
-    member with the least id.  Yields (transition taken, the queue's task
-    names in first-occurrence order) until deadlock.  The queue is kept as
-    each name's entry positions in order, so a step's cost grows with the
-    number of task names, not with the queue."""
+    member with the least id.  Yields each transition taken until deadlock.
+    The queue is kept as each name's entry positions in order, so a step's
+    cost grows with the number of task names, not with the queue."""
     pending: dict[str, deque[int]] = {}
     position = itertools.count()
     at = prefix.end(lts)
@@ -437,11 +435,9 @@ def _schedule(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet):
             pending.setdefault(name, deque()).append(next(position))
         name = min(now, key=lambda k: pending[k][0])
         pending[name].popleft()
-        if not pending[name]:
-            del pending[name]
         task = ts.get(name)
         taken = min((t for t in lts.outgoing(at) if t.id in task.members), key=_tid_key)
-        yield taken, tuple(sorted(pending, key=lambda k: pending[k][0]))
+        yield taken
         at = taken.target
 
 
@@ -455,43 +451,7 @@ def fair_extend(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
         raise ValueError(f"need steps >= 0, got {step_cap}")
     prefix.validate(lts)
     taken = itertools.islice(_schedule(lts, prefix, ts), step_cap)
-    return PathPrefix(prefix.start, prefix.steps + tuple(t.id for t, _ in taken))
-
-
-def fair_lasso(lts: AugmentedLTS, prefix: PathPrefix, ts: TaskSet,
-               max_steps: int = 20000) -> Lasso | None:
-    """Run the scheduler to a (state, queue-digest) repetition whose window is
-    a strongly fair cycle; the infinite schedule is fair, so one exists.
-
-    A window is strongly fair (`classify_lasso` under S) when every task
-    enabled at one of its states occurs in it.  The run records each task's
-    last enabling and last occurring step, so a window is judged over the
-    tasks without walking it, and a task a window owes rules out every start
-    after that task's last occurrence."""
-    prefix.validate(lts)
-    seen: dict[tuple, list[int]] = {}
-    steps = list(prefix.steps)
-    enabled_at: dict[int, int] = {}  # task index -> last step enabling it
-    occurs_at: dict[int, int] = {}  # task index -> last step taking it
-    for taken, order in itertools.islice(_schedule(lts, prefix, ts), max(max_steps, 0)):
-        for k in enabled_tasks(lts, ts, taken.source):
-            enabled_at[k] = len(steps)
-        for k in task_indices(ts.containing.get(taken.id, 0)):
-            occurs_at[k] = len(steps)
-        steps.append(taken.id)
-        # recurrence point: the target and the queue's task names in
-        # first-occurrence order, right after the step; windows start there
-        starts = seen.setdefault((taken.target, order), [])
-        end = len(starts)
-        while end:  # the latest untried start first
-            start = starts[end - 1]
-            owed = [last for k, at in enabled_at.items()
-                    if (last := occurs_at.get(k, -1)) < start <= at]
-            if not owed:
-                return Lasso(prefix.start, tuple(steps[:start]), tuple(steps[start:]))
-            end = bisect.bisect_right(starts, min(owed), 0, end)
-        starts.append(len(steps))
-    return None  # deadlocked, or no fair recurrence within max_steps
+    return PathPrefix(prefix.start, prefix.steps + tuple(t.id for t in taken))
 
 
 # ---------------------------------------------------------------------------

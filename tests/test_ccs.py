@@ -11,10 +11,10 @@ import pytest
 from fairlab.labels import parse_label
 from fairlab.lts import (GoalSpec, from_exploration, goal_states, load_lts, named_goal,
                          save_lts)
-from fairlab.parser import ParseError, parse_ccs, parse_expression, roundtrips
+from fairlab.parser import ParseError, parse_ccs, parse_expression
 from fairlab.semantics import explore
-from fairlab.syntax import (Choice, Fix, Nil, Prefix, check_fragment,
-                            component_paths, project, well_named)
+from fairlab.syntax import (Choice, Fix, Nil, Prefix, check_fragment, print_expr, project,
+                            walk, well_named)
 
 
 def test_label_parsing_and_complement():
@@ -152,7 +152,8 @@ def test_print_reparse_identity():
         "X where X = b#0.(X[b#i -> b#(i+1)])",
         "X where X = a.X + c.X + b.(X[a -> c, c -> a])",
     ]:
-        assert roundtrips(parse_ccs(src)), src
+        root = parse_ccs(src).root
+        assert parse_expression(print_expr(root)) == root, src
 
 
 def test_fragment_ok_guarded_recursion():
@@ -214,7 +215,7 @@ def test_cmp_ex_5_1_split():
 
 def test_component_paths_prefix_closed():
     spec = parse_ccs("(a.0 | (b.0 | c.0))\\a")
-    paths = component_paths(spec.root)
+    paths = {path for _, path in walk(spec.root)}
     assert paths == {"", "L", "R", "RL", "RR"}
     for p in paths:
         assert all(p[:k] in paths for k in range(len(p)))

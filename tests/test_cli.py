@@ -584,6 +584,10 @@ def test_malformed_path_and_task_files_are_one_line_errors(tmp_path, capsys):
             (lambda d: d.update(goals=[]), '"goals" must be an object'),
             (lambda d: d.update(tasks=[]), '"tasks" must be an object'),
             (lambda d: d.update(initial="init"), '"initial" must be a list of strings'),
+            (lambda d: d.update(initial=["init", "init"]), "initial state init listed twice"),
+            (lambda d: d["goals"]["crit"]["disjuncts"].append(
+                {"kind": "component_at", "path": "l", "expr": "0"}),
+             "component path 'l' is not a word over L and R"),
             (lambda d: d.update(truncated="false"), '"truncated" must be true or false'))):
         doc = json.loads((DATA / "ex-4.2-mutex-mem.json").read_text())
         mutate(doc)
@@ -675,6 +679,7 @@ def test_out_of_range_steps_length_and_bounds_are_usage_errors(tmp_path, capsys)
             (hierarchy + ["--bounds", "-1,-2"],
              "fairlab hierarchy: argument --bounds: expected one argument"),
             (["bogus"], "fairlab: argument command: invalid choice: 'bogus'"),
+            (["corpus", "--filter", "nope*"], "error: no corpus entry matches 'nope*'"),
             (["extend", mutex, "--notion", "T", "--start", "init", "--prefix", "p.json"],
              "fairlab extend: argument --prefix: not allowed with argument --start")):
         assert main(argv) == 2, argv

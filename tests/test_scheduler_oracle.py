@@ -1,12 +1,15 @@
-"""Differential test of the fair scheduler behind `fair_extend` and `fair_lasso`.
+"""Differential test of the fair scheduler behind `fair_extend`.
 
-The oracle is the scheduler those two functions replaced, copied verbatim:
-a `_Queue` of task names with a fill/pick/digest interface, and a generator
+The oracle is the scheduler `fair_extend` replaced, copied verbatim: a
+`_Queue` of task names with a fill/pick/digest interface, and a generator
 yielding (state, queue, steps, transition taken) with a last item for
 deadlock.  Both sides run on every corpus system, under every notion it
 supports and under its own task sets, from seeded random prefixes, and on
 seeded random annotated systems with custom task sets whose names are not
 in task-index order.  Results and error texts must be equal.
+
+`_oracle_lasso` runs the same scheduler on to a strongly fair lasso, the
+paper's feasibility argument; other tests use it to reach fair lassos.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_lasso,
                            enabled_tasks)
 from fairlab.tasks import NOTIONS, extract_tasks
-from fairlab.verify import _tid_key, fair_extend, fair_lasso
+from fairlab.verify import _tid_key, fair_extend
 
 CAPS = (-1, 0, 1, 7, 60)
-MAX_STEPS = (-1, 0, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,6 @@ def _compare(lts, tasksets, prefixes, tally):
                 got = _outcome(fair_extend, lts, prefix, ts, cap)
                 assert got == _outcome(_oracle_extend, lts, prefix, ts, cap), (prefix, ts, cap)
                 tally["extend", type(got).__name__] += 1
-            for max_steps in MAX_STEPS:
-                got = _outcome(fair_lasso, lts, prefix, ts, max_steps)
-                assert got == _outcome(_oracle_lasso, lts, prefix, ts, max_steps), \
-                    (prefix, ts, max_steps)
-                tally["lasso", type(got).__name__] += 1
 
 
 def _tasksets(lts):
@@ -180,8 +177,6 @@ def test_scheduler_matches_queue_oracle_on_corpus():
     for built in build_all():
         _compare(built.lts, _tasksets(built.lts), _prefixes(built.lts, rng, 6), tally)
     assert tally["extend", "PathPrefix"] > 1000 and tally["extend", "str"] > 100
-    assert tally["lasso", "Lasso"] > 300 and tally["lasso", "NoneType"] > 300
-    assert tally["lasso", "str"] > 50
 
 
 def _random_system(rng) -> AugmentedLTS:
@@ -209,4 +204,3 @@ def test_scheduler_matches_queue_oracle_on_random_systems():
             for name in names))
         _compare(lts, [custom] + _tasksets(lts), _prefixes(lts, rng, 2), tally)
     assert tally["extend", "PathPrefix"] > 5000
-    assert tally["lasso", "Lasso"] > 1000 and tally["lasso", "NoneType"] > 1000

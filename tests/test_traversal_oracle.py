@@ -1,10 +1,10 @@
 """Differential tests of the shared traversals.
 
 The oracles are the hand-written traversals the shared ones replaced: the
-recursive walks of CCS terms behind `iter_prefixes`, `component_paths` and
-`instruction_paths`, and the two breadth-first stem searches (`_stem_into`
-over states, the justness branch of `_find_stem` over (state, pending
-obligations) pairs with its own obligation closure).  The stem oracles are
+recursive walks of CCS terms behind `iter_prefixes`, the component paths
+`walk` yields and `instruction_paths`, and the two breadth-first stem
+searches (`_stem_into` over states, the justness branch of `_find_stem`
+over (state, pending obligations) pairs with its own obligation closure).  The stem oracles are
 copied as they were, less `_find_stem`'s unused `cset` parameter; on
 partly annotated systems they must raise the same AnnotationError, since
 which transition is looked at first decides the message.
@@ -20,7 +20,7 @@ from fairlab.lts import AnnotationError, AugmentedLTS, State, Transition, named_
 from fairlab.parser import parse_expression
 from fairlab.paths import Assumption
 from fairlab.syntax import (Choice, Fix, Nil, Par, Prefix, RecSpec, Relabel, Restrict,
-                            Var, component_paths, instruction_paths, iter_prefixes)
+                            Var, instruction_paths, iter_prefixes, walk)
 from fairlab.verify import (Bounds, _find_stem, _stem_into, hierarchy_check,
                             simple_cycles_at)
 
@@ -261,7 +261,7 @@ def _random_term(rng, depth, scope, counter):
 
 def _compare_walks(e):
     assert list(iter_prefixes(e)) == list(_oracle_iter_prefixes(e))
-    assert component_paths(e) == _oracle_component_paths(e)
+    assert {path for _, path in walk(e)} == _oracle_component_paths(e)
     got = instruction_paths(e)
     want = _oracle_instruction_paths(e)
     assert got == want and list(got) == list(want)
@@ -302,5 +302,5 @@ def test_instruction_paths_on_a_term_nested_10000_deep():
     table = instruction_paths(e)
     assert len(table) == 2500
     assert table["n9996"] == [""] and table["n0"] == ["RRRR"]
-    assert component_paths(e) == {"", "L", "R", "RL", "RR", "RRL", "RRR", "RRRL", "RRRR"}
+    assert {path for _, path in walk(e)} == {"", "L", "R", "RL", "RR", "RRL", "RRR", "RRRL", "RRRR"}
     assert sum(1 for _ in iter_prefixes(e)) == 2500

@@ -11,6 +11,7 @@ import pytest
 
 from test_classify_oracle import _random_system
 from test_goal_oracle import _damage
+from test_scheduler_oracle import _oracle_lasso
 
 from fairlab import verify
 from fairlab.corpus import build_all, t_by
@@ -20,7 +21,7 @@ from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Tr
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite, classify_lasso,
                            just_stem, parse_assumption)
 from fairlab.tasks import NOTIONS, extract_tasks
-from fairlab.verify import (Bounds, agef, fair_extend, fair_lasso, figure2_arrows,
+from fairlab.verify import (Bounds, agef, fair_extend, figure2_arrows,
                             hierarchy_check, liveness, loopfree_witness,
                             rooted_walks, simple_cycles_at, simulate)
 
@@ -91,7 +92,7 @@ def test_fair_extend_mutex_alternates():
     ts = lts.tasks["LM"]
     path = fair_extend(lts, PathPrefix("init"), ts, 12)
     assert path.steps == ("l1", "l2", "l3", "m1", "m2", "m3") * 2
-    lasso = fair_lasso(lts, PathPrefix("init"), ts)
+    lasso = _oracle_lasso(lts, PathPrefix("init"), ts)
     assert lasso is not None
     assert classify_lasso(lts, lasso, Assumption("S", "custom", ts))
 
@@ -428,7 +429,7 @@ def test_fair_extend_random_prefixes_reach_fair_lassos():
                 t = rng.choice(outs)
                 steps.append(t.id)
                 at = t.target
-            lasso = fair_lasso(lts, PathPrefix(lts.initial[0], tuple(steps)), ts)
+            lasso = _oracle_lasso(lts, PathPrefix(lts.initial[0], tuple(steps)), ts)
             if lasso is None:
                 # the prefix ended in (or was forced into) a deadlock
                 end = PathPrefix(lts.initial[0], tuple(steps)).end(lts)
