@@ -84,14 +84,10 @@ def _only(items, what: str):
     return items[0]
 
 
-def t_by(lts: AugmentedLTS, source: str | None = None, label: str | None = None,
-         target: str | None = None, comp: set[str] | None = None) -> str:
+def t_by(lts: AugmentedLTS, source: str | None = None, label: str | None = None) -> str:
     hits = [t.id for t in lts.transitions
-            if (source is None or t.source == source)
-            and (label is None or str(t.label) == label)
-            and (target is None or t.target == target)
-            and (comp is None or t.comp == frozenset(comp))]
-    return _only(hits, f"transition matching {source}/{label}/{target}")
+            if (source is None or t.source == source) and (label is None or str(t.label) == label)]
+    return _only(hits, f"transition matching {source}/{label}")
 
 
 def walk_labels(lts: AugmentedLTS, start: str, labels: list[str]) -> list[str]:

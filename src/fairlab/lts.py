@@ -414,6 +414,23 @@ def concurrent(lts: AugmentedLTS, t: str, u: str) -> bool:
     return not (lts.comp_of(t) & lts.comp_of(u))
 
 
+def affected(lts: AugmentedLTS, steps) -> frozenset[str]:
+    """The components the transitions steps affect, read in order."""
+    return frozenset().union(*map(lts.comp_of, steps))
+
+
+def obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset[str], ...]:
+    """The component sets the transitions of state sid (non-blocking ones,
+    when reactive) oblige a just path to interfere with, read whole."""
+    return lts.memo(("obligations", sid, reactive), lambda: tuple(
+        lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
+
+
+def unmet(pending, comps: frozenset[str]) -> frozenset[frozenset[str]]:
+    """The obligations of pending that share no component with comps."""
+    return frozenset(filter(comps.isdisjoint, pending))
+
+
 def requested(lts: AugmentedLTS, instruction: str, state: str) -> bool:
     """An instruction is requested when its component, viewed in isolation,
     can fire it (no restriction context applies).  An unknown instruction,
@@ -534,15 +551,15 @@ def _persistence(tag: str, field: str, lts: AugmentedLTS) -> str:
     """(#) for field "comp", (6) for "instr": when t and u leave one state
     and are concurrent, a transition with t's field leaves u's target."""
     after = {s.id: {getattr(v, field) for v in lts.outgoing(s.id)} for s in lts.states}
-    return next((f"{tag} fails for t={t.id}, u={u.id}"
-                 for sid in lts.state_ids() for t in lts.outgoing(sid) for u in lts.outgoing(sid)
-                 if not t.comp & u.comp and getattr(t, field) not in after[u.target]), "")
+    return next((f"{tag} fails for t={t.id}, u={u.id}" for sid in lts.state_ids()
+                 for t in lts.outgoing(sid) for u in lts.outgoing(sid)
+                 if getattr(t, field) not in after[u.target] and concurrent(lts, t.id, u.id)), "")
 
 
 def _interference_reflexive(lts: AugmentedLTS) -> str:
-    """Interference is reflexive: no transition has an empty comp."""
+    """Interference is reflexive: no transition is concurrent with itself."""
     return next((f"transition {t.id} has empty comp" for t in lts.transitions
-                 if not t.comp), "")
+                 if concurrent(lts, t.id, t.id)), "")
 
 
 def _solve_cmp(lts: AugmentedLTS) -> str:

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .lts import AugmentedLTS, Task, TaskSet, read_json, requests
+from .lts import (AugmentedLTS, Task, TaskSet, affected, concurrent, obligations, read_json,
+                  requests, unmet)
 from .tasks import NOTIONS, extract_tasks
 
 
@@ -156,17 +157,15 @@ def resolve_tasks(lts: AugmentedLTS, assumption: Assumption) -> TaskSet:
 # Enabledness.
 # ---------------------------------------------------------------------------
 
-def enabled(lts: AugmentedLTS, task: Task, state: str, reactive: bool = False) -> bool:
-    """A task is enabled in a state if a member (non-blocking, when reactive)
-    leaves that state."""
-    return any(t.id in task.members for t in lts.outgoing(state, reactive))
+def enabled(lts: AugmentedLTS, task: Task, state: str) -> bool:
+    """A task is enabled in a state if a member leaves that state."""
+    return any(t.id in task.members for t in lts.outgoing(state))
 
 
 def enabled_during(lts: AugmentedLTS, task: Task, u: str, reactive: bool = False) -> bool:
-    """A task is enabled during a transition u if a member from source(u) is
-    concurrent with u (disjoint component sets)."""
-    ucomp = lts.comp_of(u)
-    return any(t.id in task.members and not (lts.comp_of(t.id) & ucomp)
+    """A task is enabled during a transition u if a member from source(u)
+    (non-blocking, when reactive) is `concurrent` with u."""
+    return any(t.id in task.members and concurrent(lts, u, t.id)
                for t in lts.outgoing(lts.transition(u).source, reactive))
 
 
@@ -212,8 +211,7 @@ def classify_lasso(lts: AugmentedLTS, lasso: Lasso, assumption: Assumption) -> b
     lasso.validate(lts)
     steps = sorted(set(lasso.cycle))
     if assumption.kind == "Just" and lasso.stem:
-        cycle_comp = frozenset().union(*(lts.comp_of(u) for u in steps))
-        if not just_stem(lts, lasso.start, lasso.stem, cycle_comp, assumption.reactive):
+        if not just_stem(lts, lasso.start, lasso.stem, affected(lts, steps), assumption.reactive):
             return False
     states = sorted({lts.transition(u).source for u in steps})
     return not unfair_states(lts, states, steps, assumption)
@@ -232,15 +230,15 @@ def unfair_states(lts: AugmentedLTS, states: list[str], steps: list[str],
     instruction every state requests (requests are read only when a task is
     owed).  Under W and J every state is, when a task never taken is enabled
     at all of them (for J, enabled during every step, asked in task order).
-    Under justness each state is unfair that owes an obligation no step's
-    components touch; every state's obligations are read.  P owes nothing.
+    Under justness each state is unfair that owes an obligation the steps
+    leave `unmet`; every state's obligations are read.  P owes nothing.
     """
     kind, reactive = assumption.kind, assumption.reactive
     if kind == "P":
         return []
     if kind == "Just":
-        comps = frozenset().union(*(lts.comp_of(u) for u in steps))
-        return [s for s in states if not all(c & comps for c in obligations(lts, s, reactive))]
+        comps = affected(lts, steps)
+        return [s for s in states if unmet(obligations(lts, s, reactive), comps)]
     ts = resolve_tasks(lts, assumption)
     occurring = 0
     for u in steps:
@@ -267,25 +265,20 @@ def unfair_states(lts: AugmentedLTS, states: list[str], steps: list[str],
     return bad
 
 
-def obligations(lts: AugmentedLTS, sid: str, reactive: bool) -> tuple[frozenset[str], ...]:
-    """The component sets the transitions of state sid (non-blocking ones,
-    when reactive) oblige a just path to interfere with, read whole."""
-    return lts.memo(("obligations", sid, reactive), lambda: tuple(
-        lts.comp_of(t.id) for t in lts.outgoing(sid, reactive)))
-
-
 def just_stem(lts: AugmentedLTS, start: str, stem: tuple[str, ...],
               cycle_comp: frozenset[str], reactive: bool) -> bool:
     """Justness on a stem: every transition enabled at stem position k
     (non-blocking ones, when reactive) shares a component with stem[k:], the
     step leaving k included, or with the cycle's components cycle_comp.  The
-    scan runs in stem order and reads each stem state's `obligations` whole,
-    so it raises AnnotationError only for a state it reaches."""
+    scan runs in stem order and reads a step's components only while an
+    obligation is owed, so it raises AnnotationError only for what it reaches."""
     at = start
     for k, step in enumerate(stem):
-        for c in obligations(lts, at, reactive):
-            if not (c & cycle_comp or any(lts.comp_of(u) & c for u in stem[k:])):
-                return False
+        owed = unmet(obligations(lts, at, reactive), cycle_comp)
+        for u in stem[k:]:
+            owed = owed and unmet(owed, affected(lts, (u,)))
+        if owed:
+            return False
         at = lts.transition(step).target
     return True
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet,
-                  read_json, validate_side_conditions)
+from .lts import (AnnotationError, AugmentedLTS, SchemaError, TaskSet, affected, obligations,
+                  read_json, unmet, validate_side_conditions)
 from .paths import (Assumption, Lasso, PathPrefix, classify_lasso, complete_at,
-                    enabled_tasks, just_stem, obligations, unfair_states)
+                    enabled_tasks, just_stem, unfair_states)
 
 
 @dataclass
@@ -367,26 +367,21 @@ def _find_stem(lts: AugmentedLTS, region: set[str], entry: str, cycle: list[str]
 
     Only justness is stem-sensitive: each transition enabled at a stem state
     must be interfered with later.  That search runs over (state, pending
-    component-set obligations) pairs, so discharging loops are found too.
+    obligations) pairs, with `just_stem`'s rule, so discharging loops are found too.
     """
     if assumption.kind != "Just":
         return _stem_into(lts, region, {entry})
-    comp_u = frozenset().union(*(lts.comp_of(tid) for tid in cycle))
-
-    def owed(sid: str) -> frozenset[frozenset[str]]:
-        return frozenset(c for c in obligations(lts, sid, assumption.reactive)
-                         if not (c & comp_u))
+    comps, reactive = affected(lts, cycle), assumption.reactive
 
     def moves(node):
         sid, pending = node
         for t in lts.outgoing(sid):
             if t.target in region:
-                tcomp = lts.comp_of(t.id)
-                yield t.id, (t.target, frozenset(o for o in pending if not (o & tcomp))
-                             | owed(t.target))
+                yield t.id, (t.target, unmet(pending, affected(lts, (t.id,)))
+                             | unmet(obligations(lts, t.target, reactive), comps))
 
-    found = _shortest([(s, owed(s)) for s in lts.initial if s in region], moves,
-                      lambda node: node[0] == entry and not node[1])
+    found = _shortest([(s, unmet(obligations(lts, s, reactive), comps)) for s in lts.initial
+                       if s in region], moves, lambda node: node[0] == entry and not node[1])
     return None if found is None else (found[0][0], found[1])
 
 
@@ -579,8 +574,7 @@ def hierarchy_check(lts: AugmentedLTS, stronger: Assumption, weaker: Assumption,
                     continue
                 # only justness looks at the stem: a violation is the first
                 # stem that keeps the stronger side fair and the weaker not
-                comps_u = (frozenset().union(*(lts.comp_of(t) for t in cycle))
-                           if s_just or w_just else None)
+                comps_u = affected(lts, cycle) if s_just or w_just else None
                 s_marks, w_marks = (justness.setdefault((a.reactive, comps_u, entry),
                                                         [None] * len(stems))
                                     for a in (stronger, weaker))

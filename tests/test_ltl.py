@@ -406,7 +406,7 @@ def test_deep_negation_evaluates_without_recursion():
     # compiled program runs it on a flat stack
     lts = _built("ex-5.1*")["ex-5.1-exit-loop"].lts
     conv = ltl_convert(lts)
-    loop = t_by(lts, source=lts.initial[0], target=lts.initial[0])
+    [loop] = [t.id for t in lts.outgoing(lts.initial[0]) if t.target == lts.initial[0]]
     lasso = convert_lasso(conv, Lasso(lts.initial[0], (), (loop,)))
     f = base = atom("state:s0")
     for _ in range(5000):
@@ -450,7 +450,7 @@ def test_unknown_task_or_state_raises_at_every_position():
     lts = _built("ex-5.1*")["ex-5.1-exit-loop"].lts
     assert "s9" not in lts.state_ids()
     conv = ltl_convert(lts)
-    loop = t_by(lts, source=lts.initial[0], target=lts.initial[0])
+    [loop] = [t.id for t in lts.outgoing(lts.initial[0]) if t.target == lts.initial[0]]
     for state in (f"s/{lts.initial[0]}", f"t/{loop}"):
         for prop in ("occurs:nosuch", "enabled:nosuch"):
             with pytest.raises(FormulaError,

@@ -12,9 +12,10 @@ import pytest
 from test_classify_oracle import _random_system
 from test_goal_oracle import _damage
 from test_scheduler_oracle import _oracle_lasso
+from test_traversal_oracle import _random_system as _partly_annotated_system
 
 from fairlab import verify
-from fairlab.corpus import build_all, t_by
+from fairlab.corpus import build_all
 from fairlab.labels import parse_label
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet, Transition,
                          load_lts, named_goal, save_lts, validate_side_conditions)
@@ -112,7 +113,7 @@ def test_fair_extend_ex_5_1_schedules_exit():
     lts = built.lts
     ts = extract_tasks(lts, "I")
     path = fair_extend(lts, PathPrefix(lts.initial[0]), ts, 6)
-    exit_tid = t_by(lts, comp={"L"})
+    [exit_tid] = [t.id for t in lts.transitions if t.comp == {"L"}]
     assert exit_tid in path.steps
     assert len(path.steps) == 6
 
@@ -327,6 +328,39 @@ def _compare_just_stems(lts, bounds, tally):
                     tally[got] += 1
 
 
+def _lazy_just_stem(lts, start, stem, cycle_comp, reactive) -> bool:
+    """`paths.just_stem` as it was before it asked `lts.unmet`, copied with
+    its `obligations` table written out: it reads a stem state's component
+    sets whole, then the steps' lazily, and returns at the first obligation
+    left open."""
+    at = start
+    for k, step in enumerate(stem):
+        for c in tuple(lts.comp_of(t.id) for t in lts.outgoing(at, reactive)):
+            if not (c & cycle_comp or any(lts.comp_of(u) & c for u in stem[k:])):
+                return False
+        at = lts.transition(step).target
+    return True
+
+
+def _compare_partly_annotated_stems(lts, bounds, tally):
+    """Every rooted lasso within bounds whose cycle's components can be read,
+    under both ,reactive flags: on a system where some comp is missing, which
+    component set is read first decides between a verdict and an error."""
+    walks = rooted_walks(lts, bounds.stem)
+    for entry in sorted(walks):
+        for cycle in simple_cycles_at(lts, entry, bounds.cycle):
+            try:
+                comps_u = frozenset().union(*(lts.comp_of(t) for t in cycle))
+            except AnnotationError:
+                continue
+            for reactive in (False, True):
+                for start, steps in walks[entry]:
+                    got = _outcome(just_stem, lts, start, steps, comps_u, reactive)
+                    assert got == _outcome(_lazy_just_stem, lts, start, steps, comps_u,
+                                           reactive), (start, steps, cycle, reactive)
+                    tally["error" if isinstance(got, str) else got] += 1
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -343,6 +377,11 @@ def test_just_stem_matches_the_parent_check():
     for _ in range(400):
         _compare_just_stems(_random_annotated_system(rng), Bounds(3, 4), tally)
     assert tally[True] > 10_000 and tally[False] > 10_000 and tally["skipped"] > 0
+    tally = {True: 0, False: 0, "error": 0}
+    rng = random.Random(27)
+    for _ in range(400):
+        _compare_partly_annotated_stems(_partly_annotated_system(rng, 0.2), Bounds(2, 2), tally)
+    assert min(tally.values()) > 10_000, tally
 
 
 def test_hierarchy_reads_only_the_component_sets_justness_owes():
@@ -416,8 +455,11 @@ def test_liveness_st_matches_agef_on_corpus():
 
 def test_fair_extend_random_prefixes_reach_fair_lassos():
     rng = random.Random(2026)
-    for built in build_all("ex-5.4*"):
+    tally = Counter()
+    for built in build_all("ex-5.*"):
         lts = built.lts
+        if lts.truncated:
+            continue
         ts = extract_tasks(lts, "A")
         for _ in range(10):
             at = lts.initial[0]
@@ -429,12 +471,17 @@ def test_fair_extend_random_prefixes_reach_fair_lassos():
                 t = rng.choice(outs)
                 steps.append(t.id)
                 at = t.target
-            lasso = _oracle_lasso(lts, PathPrefix(lts.initial[0], tuple(steps)), ts)
+            prefix = PathPrefix(lts.initial[0], tuple(steps))
+            lasso = _oracle_lasso(lts, prefix, ts)
+            tally[lasso is None] += 1
             if lasso is None:
-                # the prefix ended in (or was forced into) a deadlock
-                end = PathPrefix(lts.initial[0], tuple(steps)).end(lts)
+                # the prefix ended in (or was forced into) a deadlock: the
+                # scheduler's extension stops where no task of ts is enabled
+                end = fair_extend(lts, prefix, ts, 20000).end(lts)
+                assert not any(t.id in ts.containing for t in lts.outgoing(end)), prefix
                 continue
             assert classify_lasso(lts, lasso, Assumption("S", "custom", ts))
+    assert tally[True] >= 10 and tally[False] >= 10, tally
 
 
 def test_out_of_range_caps_and_bounds_are_rejected():
