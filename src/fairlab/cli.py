@@ -171,7 +171,7 @@ def cmd_extend(args) -> int:
     if args.prefix:
         prefix = _path_file(args.prefix, PathPrefix)
     else:
-        prefix = PathPrefix(args.start or lts.initial[0])
+        prefix = PathPrefix(lts.initial[0] if args.start is None else args.start)
     print(json.dumps(fair_extend(lts, prefix, ts, args.steps).to_json()))
     return 0
 

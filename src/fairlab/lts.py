@@ -355,10 +355,14 @@ def load_lts(document: str) -> AugmentedLTS:
     tasks = {}
     for name, ts in _object(doc.get("tasks", {}), '"tasks"').items():
         ts = _object(ts, f"task set {name!r}")
+        if not isinstance(ts.get("notion", ""), str):
+            raise SchemaError(f"task set {name!r} field 'notion' must be a string")
         tasks[name] = TaskSet(ts.get("notion", "custom"), read_tasks(ts.get("tasks", [])))
     initial = _list_of(doc["initial"], str, '"initial"')
     if not isinstance(doc.get("truncated", False), bool):
         raise SchemaError('"truncated" must be true or false')
+    if doc.get("origin", "handwritten") not in ("ccs", "handwritten"):
+        raise SchemaError('"origin" must be "ccs" or "handwritten"')
     return AugmentedLTS(states, transitions, initial, goals, tasks,
                         doc.get("origin", "handwritten"), doc.get("truncated", False))
 

@@ -111,11 +111,12 @@ def liveness(lts: AugmentedLTS, goal: frozenset[str], assumption: Assumption,
     Finite counterexamples are complete finite paths inside the goal-avoiding
     region; infinite ones are found by enumerating the strongly connected
     state subsets of each of its SCCs (with all induced transitions as cycle
-    support), judging each by `paths.unfair_states`, and re-verifying a
-    witness lasso built from a fair one.  Under S:y, SWI and justness an SCC
-    is first cut to the states on its fair subsets (`_fair_states`, by the
-    same judge); no fair subset loses a state and the enumeration keeps its
-    order, so each witness is the one the whole SCC gives.
+    support) one at a time, judging each by `paths.unfair_states`, and
+    re-verifying a witness lasso built from the first fair one.  Under S:y,
+    SWI and justness an SCC is first cut to the states on its fair subsets
+    (`_fair_states`, by the same judge); no fair subset loses a state and the
+    enumeration keeps its order, so each witness is the one the whole SCC
+    gives.
     """
     name = str(assumption)
     if lts.truncated:
@@ -208,89 +209,70 @@ def _scc_partition(nodes: set[str], succ) -> list[list[str]]:
     low: dict[str, int] = {}
     on: set[str] = set()
     stack: list[str] = []
+    work: list = []
     out: list[list[str]] = []
-    counter = [0]
+
+    def push(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on.add(v)
+        work.append((v, iter(sorted(succ(v)))))
 
     for root in sorted(nodes):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(succ(root))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on.add(root)
+        if root not in index:
+            push(root)
         while work:
             v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(sorted(succ(w)))))
-                    advanced = True
-                    break
-                if w in on:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
+            w = next(it, None)
+            if w is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                    on.difference_update(comp)
+                    out.append(sorted(comp))
+            elif w not in index:
+                push(w)
+            elif w in on:
+                low[v] = min(low[v], index[w])
     return out
 
 
-def _strongly_connected_subsets(scc: list[str], succ) -> list[list[str]]:
-    """All nonempty subsets of one SCC whose induced subgraph is strongly
-    connected (single states only when they carry a self-loop)."""
-    out = []
+def _strongly_connected_subsets(scc: list[str], succ):
+    """The nonempty subsets of one sorted SCC whose induced subgraph is
+    strongly connected (single states only when they carry a self-loop),
+    yielded lazily by size, then lexicographically."""
+    pred: dict[str, list[str]] = {v: [] for v in scc}
+    for u in scc:
+        for w in succ(u):
+            if w in pred:
+                pred[w].append(u)
     for r in range(1, len(scc) + 1):
         for combo in itertools.combinations(scc, r):
-            cset = set(combo)
-            if _is_strongly_connected(cset, succ):
-                out.append(list(combo))
-    return out
+            if _is_strongly_connected(set(combo), succ, pred.__getitem__):
+                yield list(combo)
 
 
-def _is_strongly_connected(cset: set[str], succ) -> bool:
-    start = next(iter(sorted(cset)))
-    seen = {start}
-    frontier = [start]
-    edges = False
-    while frontier:
-        v = frontier.pop()
-        for w in succ(v):
-            if w in cset:
-                edges = True
-                if w not in seen:
+def _is_strongly_connected(cset: set[str], succ, pred) -> bool:
+    """Whether every state of `cset` reaches and is reached from its least
+    state inside `cset`; a single state needs a self-loop."""
+    start = min(cset)
+    if len(cset) == 1:
+        return start in succ(start)
+    for nbrs in (succ, pred):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for w in nbrs(frontier.pop()):
+                if w in cset and w not in seen:
                     seen.add(w)
                     frontier.append(w)
-    if seen != cset:
-        return False
-    # reverse reachability
-    rseen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for u in cset:
-            if v in succ(u) and u not in rseen:
-                rseen.add(u)
-                frontier.append(u)
-    if rseen != cset:
-        return False
-    if len(cset) == 1:
-        return start in succ(start)  # needs a self-loop
-    return edges
+        if len(seen) != len(cset):
+            return False
+    return True
 
 
 def _covering_cycle(edges: list, entry: str):

@@ -8,6 +8,8 @@ from importlib import resources
 
 import pytest
 
+from families import _ring
+
 from fairlab.labels import parse_label
 from fairlab.lts import (GoalSpec, from_exploration, goal_states, load_lts, named_goal,
                          save_lts)
@@ -237,10 +239,6 @@ def test_duplicated_group_gets_fresh_copies():
     assert well_named(spec.root)
     comps = sorted(set(spec.cmp_map.values()))
     assert comps == ["L", "R"]
-
-
-def _ring(k: int) -> str:
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
 
 
 @pytest.mark.parametrize("src, states", [

@@ -25,6 +25,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from families import _grid, _ring
+
 from fairlab.corpus import build_all
 from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
                          Transition, from_exploration, load_lts, requested,
@@ -305,15 +307,6 @@ def test_every_rotation_of_a_cycle_gets_one_verdict_or_one_error():
                         got = outcomes.pop()
                         tally[got if isinstance(got, bool) else "error", len(cycle) > 1] += 1
     assert min(tally[outcome, True] for outcome in (True, False, "error")) > 5000, tally
-
-
-def _grid(n):
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
-
-
-def _ring(k):
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
 
 
 def test_requested_table_matches_projection():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -159,6 +160,9 @@ def test_extend_and_validate(tmp_path, capsys):
     assert main(["extend", str(lts), "--custom", str(tasks), "--steps", "6"]) == 0
     path = json.loads(capsys.readouterr().out)
     assert path["steps"] == ["l1", "l2", "l3", "m1", "m2", "m3"]
+    # an empty --start names no state; it does not fall back to the initial one
+    assert main(["extend", str(lts), "--custom", str(tasks), "--start", ""]) == 1
+    assert "unknown state id" in _one_line_error(capsys)
     assert main(["validate", str(lts)]) == 0
     report = capsys.readouterr().out
     assert "[pass]" in report and "[skip]" in report
@@ -430,11 +434,18 @@ def test_corpus_filter_and_exit(capsys):
     assert "[FAIL]" not in out
 
 
+# SHA-256 of `fairlab corpus`'s stdout, the report of every corpus verdict,
+# witness and check, so a change to any of those bytes fails here (as the
+# benchmark's output digests do in test_perfbench_smoke.py).
+CORPUS_DIGEST = "8a48e38bfd37280f30eb5cc5ace6c037caf67ebc1ba3cd96218101a4da5cd787"
+
+
 def test_corpus_full_determinism(capsys):
     assert main(["corpus"]) == 0
     first = capsys.readouterr().out
     assert main(["corpus"]) == 0
     assert capsys.readouterr().out == first
+    assert hashlib.sha256(first.encode()).hexdigest() == CORPUS_DIGEST
 
 
 def _one_line_error(capsys) -> str:
@@ -588,7 +599,11 @@ def test_malformed_path_and_task_files_are_one_line_errors(tmp_path, capsys):
             (lambda d: d["goals"]["crit"]["disjuncts"].append(
                 {"kind": "component_at", "path": "l", "expr": "0"}),
              "component path 'l' is not a word over L and R"),
-            (lambda d: d.update(truncated="false"), '"truncated" must be true or false'))):
+            (lambda d: d.update(truncated="false"), '"truncated" must be true or false'),
+            (lambda d: d.update(origin=5), '"origin" must be "ccs" or "handwritten"'),
+            (lambda d: d.update(origin="CCS"), '"origin" must be "ccs" or "handwritten"'),
+            (lambda d: d["tasks"]["LM"].update(notion=["T"]),
+             "task set 'LM' field 'notion' must be a string"))):
         doc = json.loads((DATA / "ex-4.2-mutex-mem.json").read_text())
         mutate(doc)
         path = tmp_path / f"lts{k}.json"

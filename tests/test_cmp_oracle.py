@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import pytest
 
+from families import _grid, _ring
+
 from fairlab.corpus import build_all
 from fairlab.lts import (ConditionReport, from_exploration, requested,
                          validate_side_conditions)
@@ -95,15 +97,6 @@ def _derived_conditions_4_5(lts) -> list[ConditionReport]:
             break
     return [ConditionReport("(4) enabled implies requested", holds4, True, detail4),
             ConditionReport("(5) requested persists", holds5, True, detail5)]
-
-
-def _ring(k: int) -> str:
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
-
-
-def _grid(n: int) -> str:
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
 
 
 def _systems():

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from families import _grid, _ring
+
 from fairlab.corpus import build_all
 from fairlab.lts import from_exploration, save_lts
 from fairlab.parser import parse_ccs, parse_expression
@@ -163,15 +165,6 @@ def _compare(spec: ProcessSpec, state_cap: int, depth_cap: int) -> Counter:
     tally["states"] += len(report.states)
     tally["truncated"] += report.truncated
     return tally
-
-
-def _grid(n):
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
-
-
-def _ring(k):
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
 
 
 def test_explore_matches_print_keyed_oracle_on_the_corpus():

@@ -27,6 +27,8 @@ import re
 
 import pytest
 
+from families import _grid, _ring
+
 from fairlab import parser
 from fairlab.corpus import build, corpus_entries
 from fairlab.lts import (AnnotationError, AugmentedLTS, GoalSpec, SchemaError,
@@ -59,15 +61,6 @@ def _oracle_goal_states(lts: AugmentedLTS, goal: GoalSpec) -> frozenset[str]:
         else:
             raise SchemaError(f"unknown goal predicate kind {d.kind}")
     return frozenset(out)
-
-
-def _ring(k):
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
-
-
-def _grid(n):
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
 
 
 def _systems():

@@ -10,6 +10,8 @@ from collections import Counter
 
 import pytest
 
+from families import _grid, _ring
+
 from fairlab import ltl
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
@@ -383,10 +385,7 @@ def test_mutant_kernels_fail_the_oracle(mutation):
 def test_weak_fairness_of_many_tasks_needs_no_deep_recursion():
     # grid(8): eight independent components X = a.X + b.0, 2,048 transitions,
     # so the T-notion conjunction is a chain of 2,048 conjuncts
-    n = 8
-    source = (" | ".join(f"X{i}" for i in range(n)) + " where "
-              + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
-    lts = from_exploration(explore(parse_ccs(source)))
+    lts = from_exploration(explore(parse_ccs(_grid(8))))
     ts = extract_tasks(lts, "T")
     assert len(ts.tasks) == 2048
     conv = ltl_convert(lts)
@@ -496,10 +495,7 @@ def test_truth_table_matches_the_per_prop_oracle():
     def ccs(source):
         return from_exploration(explore(parse_ccs(source)))
     systems = [b.lts for b in build_all() if not b.lts.truncated]
-    systems += [ccs("X | done where X = " + ".".join(f"a{i}" for i in range(10)) + ".X"),
-                ccs(" | ".join(f"X{i}" for i in range(5)) + " where "
-                    + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(5))),
-                _own_name_system()]
+    systems += [ccs(_ring(10)), ccs(_grid(5)), _own_name_system()]
     outcomes = set()
     for lts in systems:
         conv = ltl_convert(lts)

@@ -6,6 +6,8 @@ from importlib import resources
 
 import pytest
 
+from families import _grid, _ring
+
 from fairlab.corpus import build, corpus_entries
 from fairlab.lts import (AnnotationError, GoalSpec, SchemaError, concurrent,
                          from_exploration, goal_states, load_lts,
@@ -198,15 +200,6 @@ def test_goal_explicit_unknown_state_is_an_error():
         lts = build(entry).lts
         for goal in lts.goals.values():
             goal_states(lts, goal)
-
-
-def _ring(k):
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
-
-
-def _grid(n):
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
 
 
 def test_goal_sets_survive_save_and_load():

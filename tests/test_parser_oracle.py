@@ -30,6 +30,8 @@ from unittest import mock
 
 from hypothesis import given, strategies as st
 
+from families import _grid, _ring
+
 from fairlab import parser
 from fairlab.corpus import build, corpus_entries
 from fairlab.labels import ActionLabel, LabelError, RelabelFn, RelabelRule, TAU
@@ -481,15 +483,6 @@ def _check_elaboration(text: str) -> None:
 
 
 # -- inputs -----------------------------------------------------------------
-
-def _ring(k):
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
-
-
-def _grid(n):
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
-
 
 # Each names a case the scanner must count as the character loop did.
 _EDGES = (

@@ -7,6 +7,8 @@ from collections import Counter
 
 import pytest
 
+from families import _grid
+
 from fairlab import semantics
 from fairlab.labels import parse_label
 from fairlab.lts import (AugmentedLTS, State, Transition, from_exploration,
@@ -190,10 +192,7 @@ def test_explore_prints_each_state_once(monkeypatch):
         return print_expr(e)
 
     monkeypatch.setattr(semantics, "print_expr", counting_print)
-    n = 5
-    source = (" | ".join(f"X{i}" for i in range(n)) + " where "
-              + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
-    report = explore(parse_ccs(source))
+    report = explore(parse_ccs(_grid(5)))
     groups = Counter((t.source, str(t.label), t.instr) for t in report.transitions)
     tied = sum(size for size in groups.values() if size > 1)
     assert (len(report.states), len(report.transitions)) == (32, 160)

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from families import _grid, _ring
+
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
 from fairlab.lts import (AnnotationError, AugmentedLTS, SchemaError, State, Task, TaskSet,
@@ -78,11 +80,8 @@ def _random_partly_annotated(rng) -> AugmentedLTS:
 
 def test_extract_tasks_matches_the_per_notion_branches():
     systems = [b.lts for b in build_all()]
-    systems += [from_exploration(explore(parse_ccs(
-        "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"))) for k in (4, 6)]
-    systems += [from_exploration(explore(parse_ccs(
-        " | ".join(f"X{i}" for i in range(n)) + " where "
-        + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n))))) for n in (3, 4)]
+    systems += [from_exploration(explore(parse_ccs(_ring(k)))) for k in (4, 6)]
+    systems += [from_exploration(explore(parse_ccs(_grid(n)))) for n in (3, 4)]
     rng = random.Random(1810_07414)
     systems += [_random_partly_annotated(rng) for _ in range(400)]
     tally = {"tasks": 0, "error": 0}

@@ -25,6 +25,8 @@ from collections import Counter
 
 import pytest
 
+from families import _grid, _ring
+
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
 from fairlab.lts import (AugmentedLTS, ConditionReport, State, Transition, _solve_cmp as solve_cmp,
@@ -179,15 +181,6 @@ def _difference(lts: AugmentedLTS, old: ConditionReport, new: ConditionReport) -
         if (old.detail, new.detail) == (pairs[-1], pairs[0]):
             return "first pair"
     return f"unexplained: {old} -> {new}"
-
-
-def _ring(k: int) -> str:
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
-
-
-def _grid(n: int) -> str:
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
 
 
 def _annotation(rng, share: float, values: str, least: int):

@@ -19,6 +19,8 @@ import time
 
 from hypothesis import given, strategies as st
 
+from families import _grid, _ring
+
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
 from fairlab.parser import parse_ccs, parse_expression
@@ -154,15 +156,6 @@ def _agree(terms) -> tuple[int, int]:
 
 
 # -- inputs -----------------------------------------------------------------
-
-def _ring(k):
-    return "X | done where X = " + ".".join(f"a{i}" for i in range(k)) + ".X"
-
-
-def _grid(n):
-    return (" | ".join(f"X{i}" for i in range(n)) + " where "
-            + ", ".join(f"X{i} = a{i}.X{i} + b{i}.0" for i in range(n)))
-
 
 _LABELS = [parse_label(a) for a in ("a", "'a", "b", "tau")]
 _FN = parse_expression("(a.0)[a -> b]").fn
