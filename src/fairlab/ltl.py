@@ -258,11 +258,6 @@ class ConvertedLTS:
         self._states = frozenset(self.base.state_ids())  # what `state:` atoms may name
         self._lasso: tuple | None = None  # (lasso, full, stem, cyc, atom -> mask)
 
-    def holds(self, converted_state: str, prop: str) -> bool:
-        """Whether the atom holds at the converted state; an unknown one is a FormulaError."""
-        self._check(prop)
-        return prop in self._row(converted_state)
-
     def _check(self, prop: str) -> None:
         kind, _, arg = prop.partition(":")
         if kind in ("enabled", "occurs"):

@@ -178,13 +178,13 @@ class AugmentedLTS:
         try:
             return self._by_id[tid]
         except KeyError:
-            raise SchemaError(f"unknown transition id {tid}") from None
+            raise SchemaError(f"unknown transition id {tid!r}") from None
 
     def state(self, sid: str) -> State:
         try:
             return self._state_by_id[sid]
         except KeyError:
-            raise SchemaError(f"unknown state id {sid}") from None
+            raise SchemaError(f"unknown state id {sid!r}") from None
 
     def outgoing(self, sid: str, reactive: bool = False) -> tuple[Transition, ...]:
         """The transitions leaving a state; under `reactive`, only the
@@ -380,7 +380,7 @@ def goal_states(lts: AugmentedLTS, goal: GoalSpec) -> frozenset[str]:
         if d.kind == "explicit":
             unknown = d.states - set(lts.state_ids())
             if unknown:
-                raise SchemaError(f"explicit goal names unknown state id {min(unknown)}")
+                raise SchemaError(f"explicit goal names unknown state id {min(unknown)!r}")
             out |= d.states
         elif d.kind == "state_is":
             want = print_expr(parse_expression(d.expr))

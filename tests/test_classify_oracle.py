@@ -25,13 +25,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from families import _grid, _ring
+from families import _grid, _outcome, _ring, random_lts
 
 from fairlab.corpus import build_all
-from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
-                         Transition, from_exploration, load_lts, requested,
-                         save_lts, validate_side_conditions)
-from fairlab.labels import parse_label
+from fairlab.lts import (AnnotationError, Task, TaskSet, from_exploration, load_lts,
+                         requested, save_lts, validate_side_conditions)
 from fairlab.parser import parse_ccs
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_finite,
                            classify_lasso, resolve_tasks)
@@ -152,13 +150,6 @@ def _oracle_finite(lts, prefix, assumption):
                    for task in resolve_tasks(lts, assumption).tasks)
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except AnnotationError as exc:
-        return f"AnnotationError: {exc}"
-
-
 def _assumptions(lts, extra=()):
     tasksets = [(y, None) for y in NOTIONS]
     tasksets += [("custom", ts) for _, ts in sorted(lts.tasks.items())]
@@ -247,28 +238,12 @@ def test_classifier_matches_per_task_scan_on_corpus():
     assert len(swi) == 8
 
 
-def _random_system(rng, instr_missing, comp_missing) -> AugmentedLTS:
-    n = rng.randint(1, 4)
-    states = [State(f"s{k}", None) for k in range(n)]
-    transitions = []
-    for k in range(rng.randint(1, 7)):
-        instr = frozenset(rng.sample(["i1", "i2", "i3"], rng.randint(1, 2)))
-        comp = frozenset(rng.sample(["L", "R", "M"], rng.randint(1, 2)))
-        transitions.append(Transition(
-            f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-            parse_label(rng.choice(["a", "b", "'a", "tau"])),
-            None if rng.random() < instr_missing else instr,
-            None if rng.random() < comp_missing else comp,
-            rng.random() < 0.5))
-    return AugmentedLTS(states, transitions, ["s0"])
-
-
 def test_classifier_matches_per_task_scan_on_random_systems():
     rng = random.Random(1810)
     tally = {True: 0, False: 0, "error": 0, "finite": 0, "SWI": Counter()}
     for instr_missing, comp_missing in ((0, 0), (0.3, 0), (0, 0.3), (0.3, 0.3), (1, 1)):
-        for _ in range(25):
-            lts = _random_system(rng, instr_missing, comp_missing)
+        for _ in range(26):
+            lts = random_lts(rng, instr_missing=instr_missing, comp_missing=comp_missing)
             tids = [t.id for t in lts.transitions]
             custom = TaskSet("custom", tuple(
                 Task(f"c{k}", frozenset(rng.sample(tids, rng.randint(0, len(tids)))))
@@ -294,7 +269,7 @@ def test_every_rotation_of_a_cycle_gets_one_verdict_or_one_error():
     tally = Counter()
     for instr_missing, comp_missing in ((0, 0.3), (0.3, 0.3), (0.2, 0.6)):
         for _ in range(10):
-            lts = _random_system(rng, instr_missing, comp_missing)
+            lts = random_lts(rng, instr_missing=instr_missing, comp_missing=comp_missing)
             extra = (_drawn_tasks(rng, lts, 3), _drawn_tasks(rng, lts, 70))
             assumptions = [Assumption("P")] + _assumptions(lts, extra)
             for sid in lts.state_ids():

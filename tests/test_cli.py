@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fairlab.cli import main
+from fairlab.cli import build_parser, main
 from fairlab.lts import (AnnotationError, from_exploration, load_lts, named_goal, requested,
                          save_lts)
 from fairlab.parser import parse_ccs
@@ -108,7 +108,7 @@ def test_liveness_mutex_custom_tasks(tmp_path, capsys):
 @pytest.mark.parametrize("disjunct, message", [
     ({"kind": "state_is", "expr": "0"}, "error: state init carries no expression"),
     ({"kind": "explicit", "states": ["nosuch"]},
-     "error: explicit goal names unknown state id nosuch")])
+     "error: explicit goal names unknown state id 'nosuch'")])
 def test_liveness_goal_errors(tmp_path, capsys, disjunct, message):
     """A goal the system cannot evaluate is one error line, not a verdict:
     the mutex file's states carry no expression, and it has no state nosuch."""
@@ -162,7 +162,7 @@ def test_extend_and_validate(tmp_path, capsys):
     assert path["steps"] == ["l1", "l2", "l3", "m1", "m2", "m3"]
     # an empty --start names no state; it does not fall back to the initial one
     assert main(["extend", str(lts), "--custom", str(tasks), "--start", ""]) == 1
-    assert "unknown state id" in _one_line_error(capsys)
+    assert _one_line_error(capsys) == "error: unknown state id ''"
     assert main(["validate", str(lts)]) == 0
     report = capsys.readouterr().out
     assert "[pass]" in report and "[skip]" in report
@@ -392,6 +392,18 @@ def test_readme_ltl_example_runs_on_a_saved_corpus_system(tmp_path, capsys):
             {"start": "s0", "stem": stem, "cycle": cycle}))
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["holds"] is holds
+
+
+def test_readme_command_lines_parse():
+    """Every `fairlab ...` line of the README's Command line block parses, so
+    a renamed flag fails here instead of leaving the README stale."""
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [words[1:] for words in lines if words[:1] == ["fairlab"]]
+    assert len(lines) == 12
+    for argv in lines:
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_simulate_cli_deterministic(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,8 @@ from collections import Counter
 
 import pytest
 
+from families import random_lts
+
 from fairlab import verify
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
@@ -123,17 +125,6 @@ def test_tables_match_the_oracle_on_every_corpus_arrow(corpus):
     assert tally["holds"] > 1500 and tally["violation"] > 100 and tally["skipped"] > 150, tally
 
 
-def _random_system(rng) -> AugmentedLTS:
-    n = rng.randint(1, 3)
-    transitions = [Transition(
-        f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-        parse_label(rng.choice(["a", "b", "c", "tau"])),
-        None if rng.random() < 0.10 else frozenset(rng.sample(["i1", "i2"], rng.randint(1, 2))),
-        None if rng.random() < 0.15 else frozenset(rng.sample(["L", "R"], rng.randint(1, 2))),
-        rng.random() < 0.5) for k in range(rng.randint(1, 5))]
-    return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"])
-
-
 def test_tables_match_the_oracle_on_random_partly_annotated_systems():
     """3,000 random systems, about 15% of their transitions without comp
     and 10% without instr, each checked under two bounds on the same object
@@ -146,7 +137,10 @@ def test_tables_match_the_oracle_on_random_partly_annotated_systems():
         arrows = [(dataclasses.replace(stronger, reactive=reactive),
                    dataclasses.replace(weaker, reactive=reactive), conditions)
                   for stronger, weaker, conditions in figure2_arrows()]
-        _compare(_random_system(rng), arrows, (Bounds(1, 2), Bounds(2, 3)), {}, tally)
+        lts = random_lts(rng, states=(1, 3), transitions=(1, 5), labels=("a", "b", "c", "tau"),
+                         instr=("i1", "i2"), instr_missing=0.1, comp=("L", "R"),
+                         comp_missing=0.15)
+        _compare(lts, arrows, (Bounds(1, 2), Bounds(2, 3)), {}, tally)
     assert set(tally) == {"holds", "skipped"}, tally
     assert tally["holds"] > 50000 and tally["skipped"] > 50000, tally
 

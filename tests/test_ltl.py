@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from families import _grid, _ring
+from families import _built, _grid, _ring
 
 from fairlab import ltl
 from fairlab.corpus import build_all, t_by
@@ -27,8 +27,11 @@ from fairlab.tasks import extract_tasks
 from fairlab.verify import rooted_walks, simple_cycles_at
 
 
-def _built(pattern):
-    return {b.entry.id: b for b in build_all(pattern)}
+def _holds(conv, converted_state, prop):
+    """Whether the atom holds at the converted state; an unknown one is a
+    FormulaError."""
+    conv._check(prop)
+    return prop in conv._row(converted_state)
 
 
 def test_convert_two_state_one_transition():
@@ -51,9 +54,9 @@ def test_occurs_holds_exactly_at_member_copies():
     for t in lts.transitions:
         for task in extract_tasks(lts, "T").tasks:
             expected = t.id in task.members
-            assert conv.holds(f"t/{t.id}", f"occurs:{task.name}") == expected
+            assert _holds(conv, f"t/{t.id}", f"occurs:{task.name}") == expected
     init = lts.initial[0]
-    assert not any(conv.holds(f"s/{init}", f"occurs:{task.name}")
+    assert not any(_holds(conv, f"s/{init}", f"occurs:{task.name}")
                    for task in extract_tasks(lts, "T").tasks)
 
 
@@ -435,14 +438,14 @@ def test_holds_memo_keeps_answers_not_errors():
     states = [s.id for s in conv.lts.states]
     task = extract_tasks(lts, "T").tasks[0].name
     props = [f"{kind}:{task}" for kind in ("enabled", "occurs")] + ["state:s0"]
-    first = {(s, p): conv.holds(s, p) for s in states for p in props}
-    assert {(s, p): conv.holds(s, p) for s in states for p in props} == first
-    assert first == {(s, p): ltl_convert(lts).holds(s, p) for s in states for p in props}
+    first = {(s, p): _holds(conv, s, p) for s in states for p in props}
+    assert {(s, p): _holds(conv, s, p) for s in states for p in props} == first
+    assert first == {(s, p): _holds(ltl_convert(lts), s, p) for s in states for p in props}
     for _ in range(2):
         with pytest.raises(FormulaError, match="unknown task"):
-            conv.holds(states[-1], "enabled:nosuch")
+            _holds(conv, states[-1], "enabled:nosuch")
         with pytest.raises(FormulaError, match="unknown atomic proposition"):
-            conv.holds(states[-1], "bogus:x")
+            _holds(conv, states[-1], "bogus:x")
 
 
 def test_unknown_task_or_state_raises_at_every_position():
@@ -454,9 +457,9 @@ def test_unknown_task_or_state_raises_at_every_position():
         for prop in ("occurs:nosuch", "enabled:nosuch"):
             with pytest.raises(FormulaError,
                                match=r"^unknown task 'nosuch' in atomic proposition$"):
-                conv.holds(state, prop)
+                _holds(conv, state, prop)
         with pytest.raises(FormulaError, match=r"^unknown state 's9' in atomic proposition$"):
-            conv.holds(state, "state:s9")
+            _holds(conv, state, "state:s9")
     lasso = convert_lasso(conv, Lasso(lts.initial[0], (), (loop,)))
     for text in ("state:s9", "false & state:s9", "state:s0 | state:s9"):
         with pytest.raises(FormulaError, match=r"^unknown state 's9' in atomic proposition$"):
@@ -505,7 +508,7 @@ def test_truth_table_matches_the_per_prop_oracle():
         for state in conv.lts.state_ids():
             for prop in props:
                 expected = _outcome(_strict_oracle_holds, lts, state, prop)
-                assert _outcome(ltl.ConvertedLTS.holds, conv, state, prop) == expected, \
+                assert _outcome(_holds, conv, state, prop) == expected, \
                     (state, prop)
                 outcomes.add(expected)
     assert {True, False, "FormulaError: unknown task 'T:nosuch' in atomic proposition",
@@ -514,7 +517,7 @@ def test_truth_table_matches_the_per_prop_oracle():
     # the system's own A:a wins over notion A's, which differs from it
     own = ltl_convert(_own_name_system())
     assert own.tasks["A:a"].members == {"t0"} != extract_tasks(own.base, "A").get("A:a").members
-    assert not own.holds("t/t0", "enabled:A:a") and not own.holds("t/t2", "occurs:A:a")
+    assert not _holds(own, "t/t0", "enabled:A:a") and not _holds(own, "t/t2", "occurs:A:a")
 
 
 def _atom_names(formula):

@@ -190,7 +190,7 @@ def test_goal_state_is_needs_expressions():
 def test_goal_explicit_unknown_state_is_an_error():
     lts = load_lts(MUTEX_JSON)
     assert goal_states(lts, GoalSpec.explicit(["l2", "init"])) == {"l2", "init"}
-    with pytest.raises(SchemaError, match="unknown state id nosuch"):
+    with pytest.raises(SchemaError, match="unknown state id 'nosuch'"):
         goal_states(lts, GoalSpec.explicit(["l2", "nosuch"]))
     ex_13_1 = load_lts((resources.files("fairlab") / "corpus_data" / "ex-13.1.json").read_text())
     with pytest.raises(SchemaError, match="nosuch"):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from families import _built
+
 from fairlab.corpus import build_all, t_by
 from fairlab.labels import parse_label
 from fairlab.lts import (AnnotationError, AugmentedLTS, SchemaError, State, Task, Transition,
@@ -22,10 +24,6 @@ from fairlab.tasks import extract_tasks
 from fairlab.verify import Bounds, hierarchy_check, liveness, rooted_walks, simple_cycles_at
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "fairlab" / "corpus_data"
-
-
-def _built(pattern):
-    return {b.entry.id: b for b in build_all(pattern)}
 
 
 def test_lasso_json_roundtrip():
@@ -118,9 +116,9 @@ def test_lasso_validation_errors_and_their_order():
     Lasso("s0", (), ("t0", "t2", "t1")).validate(lts)
     cases = [
         # each error alone, then with the ones after it in the walk
-        (Lasso("s9", ("t9",), ("t1",)), SchemaError, "unknown state id s9"),
-        (Lasso("s0", ("t0", "t9"), ("t1",)), SchemaError, "unknown transition id t9"),
-        (Lasso("s0", ("t0",), ("t2", "t9")), SchemaError, "unknown transition id t9"),
+        (Lasso("s9", ("t9",), ("t1",)), SchemaError, "unknown state id 's9'"),
+        (Lasso("s0", ("t0", "t9"), ("t1",)), SchemaError, "unknown transition id 't9'"),
+        (Lasso("s0", ("t0",), ("t2", "t9")), SchemaError, "unknown transition id 't9'"),
         (Lasso("s0", ("t1", "t9"), ("t0",)), PathError,
          "transition t1 does not continue the path at s0"),
         (Lasso("s0", ("t0",), ("t2", "t0", "t9")), PathError,

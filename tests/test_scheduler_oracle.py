@@ -19,10 +19,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+from families import random_lts
+
 from fairlab.corpus import build_all
-from fairlab.labels import parse_label
-from fairlab.lts import (AnnotationError, AugmentedLTS, State, Task, TaskSet,
-                         Transition)
+from fairlab.lts import AnnotationError, AugmentedLTS, Task, TaskSet
 from fairlab.paths import (Assumption, Lasso, PathPrefix, classify_lasso,
                            enabled_tasks)
 from fairlab.tasks import NOTIONS, extract_tasks
@@ -179,23 +179,11 @@ def test_scheduler_matches_queue_oracle_on_corpus():
     assert tally["extend", "PathPrefix"] > 1000 and tally["extend", "str"] > 100
 
 
-def _random_system(rng) -> AugmentedLTS:
-    n = rng.randint(1, 4)
-    states = [State(f"s{k}", None) for k in range(n)]
-    transitions = [Transition(f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-                              parse_label(rng.choice(["a", "b", "'a", "tau"])),
-                              frozenset(rng.sample(["i1", "i2", "i3"], rng.randint(1, 2))),
-                              frozenset(rng.sample(["L", "R", "M"], rng.randint(1, 2))),
-                              rng.random() < 0.5)
-                   for k in range(rng.randint(1, 7))]
-    return AugmentedLTS(states, transitions, ["s0"])
-
-
 def test_scheduler_matches_queue_oracle_on_random_systems():
     rng = random.Random(1985)
     tally = Counter()
     for _ in range(150):
-        lts = _random_system(rng)
+        lts = random_lts(rng)
         tids = [t.id for t in lts.transitions]
         # names out of task-index order, so that column order shows
         names = rng.sample(["p", "q", "r", "s", "t"], rng.randint(1, 5))

@@ -2,9 +2,12 @@
 program itself: named in `src/fairlab` or `perfbench/` (as a bare name or an
 attribute), or exported in `fairlab.__all__`.  Code that only tests call has
 no place in `src/`; a test that needs such a helper writes it out itself.
-Dunder methods are called by Python and are not scanned.  Likewise every
-defaulted parameter of a module-level function outside `fairlab.__all__` is
-set by some call in `src/fairlab` or `perfbench/`."""
+Dunder methods are called by Python and are not scanned.  A method that is
+not a property but shares its name with a field or property of some class
+counts as used only where something calls that name, since reading the
+field names it too.  Likewise every defaulted parameter of a module-level
+function outside `fairlab.__all__` is set by some call in `src/fairlab` or
+`perfbench/`."""
 
 from __future__ import annotations
 
@@ -27,17 +30,31 @@ def _trees(folder: Path) -> dict[str, ast.Module]:
             for p in sorted(folder.glob("*.py"))}
 
 
+def _is_property(fn) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+               for d in fn.decorator_list)
+
+
 def _definitions(tree: ast.Module):
-    """The module-level functions and classes of a module and the methods of
-    its classes, dunders aside."""
+    """(name, is a method but not a property) for the module-level functions
+    and classes of a module and the methods of its classes, dunders aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (item.name.startswith("__") and item.name.endswith("__"))):
-                    yield item.name
+                    yield item.name, not _is_property(item)
+
+
+def _fields(trees) -> set[str]:
+    """The names of the annotated class attributes and the properties."""
+    return {item.target.id if isinstance(item, ast.AnnAssign) else item.name
+            for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+            or (isinstance(item, ast.FunctionDef) and _is_property(item))}
 
 
 def _used_names(trees) -> set[str]:
@@ -53,10 +70,14 @@ def _used_names(trees) -> set[str]:
 
 def test_every_src_definition_is_used_by_the_program():
     src = _trees(ROOT / "src" / "fairlab")
-    used = _used_names([*src.values(), *_trees(ROOT / "perfbench").values()])
-    used |= set(fairlab.__all__)
+    program = [*src.values(), *_trees(ROOT / "perfbench").values()]
+    used = _used_names(program) | set(fairlab.__all__)
+    called = {_callee(node) for tree in program for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    fields = _fields(src.values())
     unused = {(module, name) for module, tree in src.items()
-              for name in _definitions(tree) if name not in used}
+              for name, method in _definitions(tree)
+              if name not in (called if method and name in fields else used)}
     assert unused == set(KEPT), sorted(unused ^ set(KEPT))
 
 

@@ -7,12 +7,10 @@ import random
 
 import pytest
 
-from families import _grid, _ring
+from families import _grid, _outcome, _ring, random_lts
 
 from fairlab.corpus import build_all
-from fairlab.labels import parse_label
-from fairlab.lts import (AnnotationError, AugmentedLTS, SchemaError, State, Task, TaskSet,
-                         Transition, from_exploration)
+from fairlab.lts import AnnotationError, SchemaError, Task, TaskSet, from_exploration
 from fairlab.parser import parse_ccs
 from fairlab.semantics import explore
 from fairlab.tasks import NOTIONS, extract_tasks, load_custom_tasks, with_progress_task
@@ -56,34 +54,16 @@ def _oracle_extract(lts, notion):
                                  for name, members in sorted(buckets.items())))
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except AnnotationError as exc:
-        return f"AnnotationError: {exc}"
-
-
-def _random_partly_annotated(rng) -> AugmentedLTS:
-    """Up to 8 transitions; each instruction or component set is missing
-    with probability 1/10, empty sometimes, and may name the root path."""
-    n = rng.randint(1, 4)
-    transitions = [Transition(
-        f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-        parse_label(rng.choice(["a", "b", "'a", "tau", "b#2"])),
-        None if rng.random() < 0.1 else frozenset(rng.sample(["i1", "i2", "i3"],
-                                                             rng.randint(0, 2))),
-        None if rng.random() < 0.1 else frozenset(rng.sample(["", "L", "R", "LR"],
-                                                             rng.randint(0, 2))),
-        rng.random() < 0.5) for k in range(rng.randint(0, 8))]
-    return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"])
-
-
 def test_extract_tasks_matches_the_per_notion_branches():
     systems = [b.lts for b in build_all()]
     systems += [from_exploration(explore(parse_ccs(_ring(k)))) for k in (4, 6)]
     systems += [from_exploration(explore(parse_ccs(_grid(n)))) for n in (3, 4)]
     rng = random.Random(1810_07414)
-    systems += [_random_partly_annotated(rng) for _ in range(400)]
+    # up to 8 transitions; each instruction or component set is missing with
+    # probability 1/10, empty sometimes, and may name the root path
+    systems += [random_lts(rng, transitions=(0, 8), labels=("a", "b", "'a", "tau", "b#2"),
+                           instr_sizes=(0, 2), instr_missing=0.1, comp=("", "L", "R", "LR"),
+                           comp_sizes=(0, 2), comp_missing=0.1) for _ in range(400)]
     tally = {"tasks": 0, "error": 0}
     for lts in systems:
         for notion in NOTIONS:

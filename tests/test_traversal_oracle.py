@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import random
 
+from families import _outcome, random_lts
+
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
-from fairlab.lts import AnnotationError, AugmentedLTS, State, Transition, named_goal
+from fairlab.lts import AugmentedLTS, State, Transition, named_goal
 from fairlab.parser import parse_expression
 from fairlab.paths import Assumption
 from fairlab.syntax import (Choice, Fix, Nil, Par, Prefix, RecSpec, Relabel, Restrict,
@@ -152,13 +154,6 @@ def _oracle_find_stem(lts, region, entry, cycle, assumption):
     return None
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except AnnotationError as exc:
-        return f"AnnotationError: {exc}"
-
-
 # -- stem searches ----------------------------------------------------------
 
 def _compare_stems(lts, regions, tally):
@@ -186,26 +181,13 @@ def test_stem_searches_match_the_parent_on_the_corpus():
     assert tally[True] > 500 and tally[False] > 50 and tally["error"] > 50
 
 
-def _random_system(rng, comp_missing):
-    n = rng.randint(1, 5)
-    states = [State(f"s{k}", None) for k in range(n)]
-    transitions = []
-    for k in range(rng.randint(1, 9)):
-        comp = frozenset(rng.sample(["L", "R", "M"], rng.randint(1, 2)))
-        transitions.append(Transition(
-            f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-            parse_label(rng.choice(["a", "'a", "tau"])), None,
-            None if rng.random() < comp_missing else comp, rng.random() < 0.5))
-    initial = rng.sample([s.id for s in states], rng.randint(1, min(2, n)))
-    return AugmentedLTS(states, transitions, initial)
-
-
 def test_stem_searches_match_the_parent_on_random_systems():
     rng = random.Random(1810)
     tally = {True: 0, False: 0, "error": 0}
     for comp_missing in (0, 0.1, 0.3):
         for _ in range(60):
-            lts = _random_system(rng, comp_missing)
+            lts = random_lts(rng, states=(1, 5), transitions=(1, 9), labels=("a", "'a", "tau"),
+                             instr=None, comp_missing=comp_missing, initial=2)
             ids = lts.state_ids()
             regions = [set(ids), set(rng.sample(ids, rng.randint(1, len(ids))))]
             _compare_stems(lts, regions, tally)

@@ -25,7 +25,7 @@ from collections import Counter
 
 import pytest
 
-from families import _grid, _ring
+from families import _grid, _ring, random_lts
 
 from fairlab.corpus import build_all
 from fairlab.labels import parse_label
@@ -183,37 +183,22 @@ def _difference(lts: AugmentedLTS, old: ConditionReport, new: ConditionReport) -
     return f"unexplained: {old} -> {new}"
 
 
-def _annotation(rng, share: float, values: str, least: int):
-    """A transition's instr or comp: present with probability `share`."""
-    if rng.random() >= share:
-        return None
-    return frozenset(rng.sample(values, rng.randint(least, 2)))
-
-
-def _random_system(rng) -> AugmentedLTS:
-    """A handwritten system with 1-4 states and 1-6 transitions; instr and comp
-    are each on every transition, on none, or on most; comp may be empty; a
-    third of the systems are marked truncated."""
-    n = rng.randint(1, 4)
-    instr_share, comp_share = rng.choice((1, 1, 0, 0.8)), rng.choice((1, 1, 0, 0.8))
-    transitions = [Transition(f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-                              parse_label(rng.choice(["a", "b", "tau"])),
-                              _annotation(rng, instr_share, "ijk", 1),
-                              _annotation(rng, comp_share, "LRM", 0), rng.random() < 0.5)
-                   for k in range(rng.randint(1, 6))]
-    return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"],
-                        truncated=rng.random() < 1 / 3)
-
-
 def _systems():
     for built in build_all():
         yield built.entry.id, built.lts
     for name, text in ([(f"ring({k})", _ring(k)) for k in range(10, 15)]
                        + [(f"grid({n})", _grid(n)) for n in range(5, 8)]):
         yield name, from_exploration(explore(parse_ccs(text)))
+    # 1-4 states and 1-6 transitions; instr and comp are each on every
+    # transition, on none, or on most; comp may be empty; a third of the
+    # systems are marked truncated
     rng = random.Random(1914)
+    missing = (0, 0, 1, 0.2)
     for k in range(3000):
-        yield f"random {k}", _random_system(rng)
+        yield f"random {k}", random_lts(
+            rng, transitions=(1, 6), labels=("a", "b", "tau"), instr="ijk",
+            instr_missing=rng.choice(missing), comp="LRM", comp_sizes=(0, 2),
+            comp_missing=rng.choice(missing), truncated=1 / 3)
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from test_classify_oracle import _random_system
+from families import _built, _outcome, random_lts, witness_problem
 from test_goal_oracle import _damage
 from test_scheduler_oracle import _oracle_lasso
-from test_traversal_oracle import _random_system as _partly_annotated_system
 
 from fairlab import verify
 from fairlab.corpus import build_all
@@ -25,10 +24,6 @@ from fairlab.tasks import NOTIONS, extract_tasks
 from fairlab.verify import (Bounds, agef, fair_extend, figure2_arrows,
                             hierarchy_check, liveness, loopfree_witness,
                             rooted_walks, simple_cycles_at, simulate)
-
-
-def _built(pattern):
-    return {b.entry.id: b for b in build_all(pattern)}
 
 
 def test_agef_examples():
@@ -55,13 +50,8 @@ def test_liveness_mutex_with_witness():
     weak = liveness(lts, goal, Assumption("W", "custom", ts), goal_name="crit")
     assert strong.holds == "yes"
     assert weak.holds == "no"
-    witness = weak.witness
-    assert isinstance(witness, Lasso)
-    # soundness: the witness classifies fair and avoids the goal
-    assert classify_lasso(lts, witness, Assumption("W", "custom", ts))
-    visited = {witness.start}
-    visited.update(lts.transition(t).target for t in witness.stem + witness.cycle)
-    assert not (visited & goal)
+    assert isinstance(weak.witness, Lasso)
+    assert witness_problem(lts, goal, Assumption("W", "custom", ts), weak) is None
 
 
 def test_liveness_progress_counterexample_is_finite_or_cyclic():
@@ -142,14 +132,8 @@ def test_hierarchy_finds_separating_lasso_for_absent_arrow():
     assert not classify_lasso(built.lts, lasso, Assumption("S", "T"))
 
 
-def _random_annotated_system(rng) -> AugmentedLTS:
-    n = rng.randint(1, 4)
-    transitions = [Transition(f"t{k}", f"s{rng.randrange(n)}", f"s{rng.randrange(n)}",
-                              parse_label(rng.choice(["a", "b", "tau"])), None,
-                              frozenset(rng.sample(["L", "R", "M"], rng.randint(1, 2))),
-                              rng.random() < 0.5)
-                   for k in range(rng.randint(1, 4))]
-    return AugmentedLTS([State(f"s{k}", None) for k in range(n)], transitions, ["s0"])
+# Random systems with a component set on every transition and no instr.
+_COMP_ONLY = {"transitions": (1, 4), "labels": ("a", "b", "tau"), "instr": None}
 
 
 def _random_goal_systems() -> list[tuple[AugmentedLTS, frozenset[str]]]:
@@ -157,37 +141,31 @@ def _random_goal_systems() -> list[tuple[AugmentedLTS, frozenset[str]]]:
     rng = random.Random(1810)
     out = []
     for _ in range(1500):
-        lts = _random_annotated_system(rng)
+        lts = random_lts(rng, **_COMP_ONLY)
         out.append((lts, frozenset(s.id for s in lts.states if rng.random() < 0.3)))
     return out
 
 
-def _is_fair(lts, witness, assumption) -> bool:
-    if isinstance(witness, Lasso):
-        return classify_lasso(lts, witness, assumption)
-    return classify_finite(lts, witness, assumption)
-
-
 def _fig2_consistency(lts, goal, tally, problems, where) -> None:
     """Along every Fig. 2 arrow whose side conditions validate on lts: a
-    weaker yes implies a stronger yes, and a stronger no witness is
-    weaker-fair.  Pairs whose annotations are missing are skipped."""
+    weaker yes implies a stronger yes, and a stronger no witness is a
+    witness under the weaker assumption too.  Pairs whose annotations are
+    missing are skipped."""
     held = {c.name for c in validate_side_conditions(lts) if c.checked and c.holds}
     for stronger, weaker, conditions in figure2_arrows():
         if not all(any(name.startswith(need) for name in held) for need in conditions):
             continue
         try:
             strong, weak = liveness(lts, goal, stronger), liveness(lts, goal, weaker)
-            transfers = strong.holds == "no" and _is_fair(lts, strong.witness, weaker)
+            problem = witness_problem(lts, goal, weaker, strong)
         except AnnotationError:
             continue
         tally[0] += 1
         if weak.holds == "yes" and strong.holds != "yes":
             problems.append((where, str(stronger), str(weaker), "weaker yes, stronger no"))
-        if strong.holds == "no":
-            tally[1] += 1
-            if not transfers:
-                problems.append((where, str(stronger), str(weaker), strong.witness))
+        tally[1] += strong.holds == "no"
+        if problem:
+            problems.append((where, str(stronger), str(weaker), strong.witness, problem))
 
 
 def test_figure2_arrows_agree_with_liveness_on_the_corpus():
@@ -211,13 +189,6 @@ def test_figure2_arrows_agree_with_liveness_on_random_systems():
     assert tally[0] > 20000 and tally[1] > 10000, tally
 
 
-def _visits(lts, start, steps) -> list[str]:
-    states = [start]
-    for tid in steps:
-        states.append(lts.transition(tid).target)
-    return states
-
-
 def test_liveness_witnesses_and_reachability_verdicts_on_random_systems():
     """Every no witness is a rooted, goal-avoiding path that is fair under its
     own assumption, and ST, Fu and Pr say yes exactly when AGEF holds."""
@@ -229,25 +200,53 @@ def test_liveness_witnesses_and_reachability_verdicts_on_random_systems():
                 assumption = Assumption(kind, notion, None, reactive)
                 try:
                     verdict = liveness(lts, goal, assumption)
-                    w = verdict.witness
-                    fair = verdict.holds != "no" or _is_fair(lts, w, assumption)
+                    problem = witness_problem(lts, goal, assumption, verdict)
                 except AnnotationError:
                     continue
                 verdicts += 1
-                if verdict.holds == "no":
-                    witnesses += 1
-                    steps = w.stem + w.cycle if isinstance(w, Lasso) else w.steps
-                    if (not fair or w.start not in lts.initial
-                            or goal & set(_visits(lts, w.start, steps))):
-                        problems.append((k, str(assumption), w))
+                witnesses += verdict.holds == "no"
+                if problem:
+                    problems.append((k, str(assumption), verdict.witness, problem))
             reach = "yes" if agef(lts, goal, reactive) else "no"
             for kind in ("ST", "Fu", "Pr"):
                 verdicts += 1
                 assumption = Assumption(kind, reactive=reactive)
-                if liveness(lts, goal, assumption).holds != reach:
+                verdict = liveness(lts, goal, assumption)
+                if verdict.holds != reach:
                     problems.append((k, str(assumption), reach))
+                problem = witness_problem(lts, goal, assumption, verdict)
+                if problem:
+                    problems.append((k, str(assumption), verdict.witness, problem))
     assert not problems, problems[:5]
     assert verdicts > 40000 and witnesses > 20000, (verdicts, witnesses)
+
+
+def test_a_yes_leaves_no_bounded_counterexample():
+    """A search apart from the SCC enumeration: where liveness says yes, no
+    goal-avoiding rooted walk of at most 3 steps ends where the path is
+    complete, and no goal-avoiding rooted lasso within Bounds(3, 4) is fair."""
+    assumptions = [Assumption(kind, notion, None, reactive)
+                   for kind, notion in (("P", ""), ("Just", ""), ("J", "T"), ("W", "A"),
+                                        ("S", "C"))
+                   for reactive in (False, True)]
+    tally, problems = Counter(), []
+    for k, (lts, goal) in enumerate(_random_goal_systems()):
+        walks = {entry: [(start, steps) for start, steps in ws
+                         if goal.isdisjoint(PathPrefix(start, steps).states(lts))]
+                 for entry, ws in rooted_walks(lts, 3).items() if entry not in goal}
+        cycles = {entry: [c for c in simple_cycles_at(lts, entry, 4)
+                          if goal.isdisjoint(lts.transition(t).target for t in c)]
+                  for entry in walks}
+        for a in assumptions:
+            holds = liveness(lts, goal, a).holds
+            found = any(classify_finite(lts, PathPrefix(start, steps), a)
+                        or any(classify_lasso(lts, Lasso(start, steps, c), a) for c in cycles[e])
+                        for e, ws in walks.items() for start, steps in ws)
+            tally[holds, found] += 1
+            if holds == "yes" and found:
+                problems.append((k, str(a)))
+    assert not problems, problems[:5]
+    assert tally["yes", False] > 4000 and tally["no", True] > 9000, tally
 
 
 def test_hierarchy_judges_each_side_under_its_own_reactive_flag():
@@ -265,7 +264,7 @@ def test_hierarchy_judges_each_side_under_its_own_reactive_flag():
              if a != b and "Just" in (a.kind, b.kind)]
     mismatches, separated = [], 0
     for _ in range(400):
-        lts = _random_annotated_system(rng)
+        lts = random_lts(rng, **_COMP_ONLY)
         walks = rooted_walks(lts, bounds.stem)
         lassos = [Lasso(start, steps, cycle) for entry in sorted(walks)
                   for cycle in simple_cycles_at(lts, entry, bounds.cycle)
@@ -361,13 +360,6 @@ def _compare_partly_annotated_stems(lts, bounds, tally):
                     tally["error" if isinstance(got, str) else got] += 1
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except AnnotationError as exc:
-        return f"AnnotationError: {exc}"
-
-
 def test_just_stem_matches_the_parent_check():
     tally = {True: 0, False: 0, "skipped": 0}
     for built in build_all():
@@ -375,12 +367,14 @@ def test_just_stem_matches_the_parent_check():
             _compare_just_stems(built.lts, Bounds(3, 4), tally)
     rng = random.Random(2)  # the systems of the reactive-flag hierarchy test
     for _ in range(400):
-        _compare_just_stems(_random_annotated_system(rng), Bounds(3, 4), tally)
+        _compare_just_stems(random_lts(rng, **_COMP_ONLY), Bounds(3, 4), tally)
     assert tally[True] > 10_000 and tally[False] > 10_000 and tally["skipped"] > 0
     tally = {True: 0, False: 0, "error": 0}
     rng = random.Random(27)
     for _ in range(400):
-        _compare_partly_annotated_stems(_partly_annotated_system(rng, 0.2), Bounds(2, 2), tally)
+        lts = random_lts(rng, states=(1, 5), transitions=(1, 9), labels=("a", "'a", "tau"),
+                         instr=None, comp_missing=0.2, initial=2)
+        _compare_partly_annotated_stems(lts, Bounds(2, 2), tally)
     assert min(tally.values()) > 10_000, tally
 
 
@@ -626,7 +620,7 @@ def test_refinement_keeps_the_enumerations_verdicts_and_errors(monkeypatch):
     systems = _random_goal_systems()
     for instr_missing, comp_missing in ((0, 0), (0.3, 0), (0, 0.3), (0.3, 0.3)):
         for _ in range(100):
-            lts = _random_system(rng, instr_missing, comp_missing)
+            lts = random_lts(rng, instr_missing=instr_missing, comp_missing=comp_missing)
             systems.append((lts, frozenset(s.id for s in lts.states if rng.random() < 0.3)))
     for lts, goal in systems:
         _compare_refined(monkeypatch, lts, goal, _REFINED, tally)
