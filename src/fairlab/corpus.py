@@ -100,16 +100,6 @@ def walk_labels(lts: AugmentedLTS, start: str, labels: list[str]) -> list[str]:
     return out
 
 
-def label_cycle(labels: list[str]):
-    def make(lts: AugmentedLTS) -> Lasso:
-        start = lts.initial[0]
-        steps = walk_labels(lts, start, labels)
-        if lts.transition(steps[-1]).target != start:
-            raise LookupError("label walk does not close at the initial state")
-        return Lasso(start, (), tuple(steps))
-    return make
-
-
 def label_lasso(stem: list[str], cycle: list[str]):
     def make(lts: AugmentedLTS) -> Lasso:
         start = lts.initial[0]
@@ -219,7 +209,7 @@ def corpus_entries() -> list[CorpusEntry]:
                       ("S:A", "crit", "yes"), ("W:A", "crit", "no"),
                       ("S:T", "crit", "yes"), ("W:T", "crit", "no"),
                       ("just", "crit", just)],
-            lassos={"m-cycle": label_cycle(["m1", "m2", "m3"])},
+            lassos={"m-cycle": label_lasso([], ["m1", "m2", "m3"])},
             classifications=[("m-cycle", "W:custom=LM", True),
                              ("m-cycle", "S:custom=LM", False)],
         ))
@@ -268,7 +258,7 @@ def corpus_entries() -> list[CorpusEntry]:
     out.append(CorpusEntry(
         id="ex-5.5-handshake-loops", source="ex-5.5.ccs",
         note="independent loops that can also synchronise",
-        lassos={"a-abar": label_cycle(["a", "'a"])},
+        lassos={"a-abar": label_lasso([], ["a", "'a"])},
         classifications=[("a-abar", "S:I", True), ("a-abar", "S:C", True),
                          ("a-abar", "S:A", False), ("a-abar", "S:T", False),
                          ("a-abar", "S:Z", False), ("a-abar", "S:G", False)],
@@ -277,7 +267,7 @@ def corpus_entries() -> list[CorpusEntry]:
     out.append(CorpusEntry(
         id="ex-5.6-idle-loop", source="ex-5.6.ccs",
         note="the second loop state carries its own copy of the idle loop",
-        lassos={"abc": label_cycle(["a", "b", "c"])},
+        lassos={"abc": label_lasso([], ["a", "b", "c"])},
         classifications=[("abc", "S:T", False)]
                         + [("abc", f"S:{y}", True) for y in ("A", "I", "Z", "C", "G")],
     ))
@@ -313,15 +303,15 @@ def corpus_entries() -> list[CorpusEntry]:
     out.append(CorpusEntry(
         id="ex-6.2-weak-robustness", source="ex-6.2-weak.ccs",
         note="interleaving order decides weak component fairness",
-        lassos={"abcd": label_cycle(["a", "b", "c", "d"]),
-                "acbd": label_cycle(["a", "c", "b", "d"])},
+        lassos={"abcd": label_lasso([], ["a", "b", "c", "d"]),
+                "acbd": label_lasso([], ["a", "c", "b", "d"])},
         classifications=[("abcd", "W:C", False), ("acbd", "W:C", True)],
     ))
 
     out.append(CorpusEntry(
         id="ex-6.2-strong-robustness", source="ex-6.2-strong.ccs",
         note="interleaving order decides strong fairness of the one-shot sync",
-        lassos={"acbd": label_cycle(["a", "c", "b", "d"]),
+        lassos={"acbd": label_lasso([], ["a", "c", "b", "d"]),
                 "a-cbad": label_lasso(["a"], ["c", "b", "a", "d"])},
         classifications=[("acbd", f"S:{y}", False) for y in ("A", "T", "I", "Z", "G")]
                         + [("a-cbad", f"S:{y}", True) for y in ("A", "I", "Z", "G")]
@@ -370,7 +360,7 @@ def corpus_entries() -> list[CorpusEntry]:
         verdicts=[(f"{x}:{y}", "conn", "yes")
                   for x in ("W", "S") for y in ("A", "T", "I", "Z", "C", "G")]
                  + [("just", "conn", "no"), ("Fu", "conn", "yes")],
-        lassos={"a-loop": label_cycle(["a"])},
+        lassos={"a-loop": label_lasso([], ["a"])},
         classifications=[("a-loop", "just", True)],
         estimates=[("conn", None, 200, 2000, 0.99, None)],
     ))
@@ -380,7 +370,7 @@ def corpus_entries() -> list[CorpusEntry]:
         note="fully independent components",
         goals={"fed": GoalSpec.component_at("R", "0")},
         verdicts=[("just", "fed", "yes"), ("P", "fed", "no")],
-        lassos={"b-loop": label_cycle(["b"])},
+        lassos={"b-loop": label_lasso([], ["b"])},
         classifications=[("b-loop", "just", False), ("b-loop", "P", True)],
     ))
 

@@ -383,11 +383,11 @@ def weak_fairness_formula(ts: TaskSet) -> Formula:
     """The conjunction over tasks of G(G enabled -> F occurs)."""
     parts = [G(implies(G(atom(f"enabled:{t.name}")), F(atom(f"occurs:{t.name}"))))
              for t in ts.tasks]
-    return conj(*parts) if parts else true()
+    return conj(*parts)
 
 
 def strong_fairness_formula(ts: TaskSet) -> Formula:
     """The conjunction over tasks of GF enabled -> GF occurs."""
     parts = [implies(G(F(atom(f"enabled:{t.name}"))), G(F(atom(f"occurs:{t.name}"))))
              for t in ts.tasks]
-    return conj(*parts) if parts else true()
+    return conj(*parts)

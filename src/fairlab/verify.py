@@ -51,41 +51,40 @@ def _tid_key(t) -> tuple[int, str]:
 # Reachability and AGEF.
 # ---------------------------------------------------------------------------
 
+def _bfs(starts, moves):
+    """Breadth-first search from the `starts` nodes; moves(node) yields
+    (transition id, next node) pairs.  Yields (node, start, steps) once for
+    each node reached, in frontier order, where steps lead from start."""
+    frontier = [(node, node, ()) for node in dict.fromkeys(starts)]
+    seen = {node for node, _, _ in frontier}
+    while frontier:
+        nxt = []
+        for node, start, steps in frontier:
+            yield node, start, steps
+            for tid, succ in moves(node):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append((succ, start, steps + (tid,)))
+        frontier = nxt
+
+
 def reachable_states(lts: AugmentedLTS, frm: set[str] | None = None,
                      eligible=None) -> set[str]:
-    frontier = list(frm if frm is not None else lts.initial)
-    seen = set(frontier)
-    while frontier:
-        s = frontier.pop()
-        for t in lts.outgoing(s):
-            if eligible is not None and not eligible(t):
-                continue
-            if t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
-    return seen
+    return {s for s, _, _ in _bfs(lts.initial if frm is None else frm,
+                                  lambda s: [(t.id, t.target) for t in lts.outgoing(s)
+                                             if eligible is None or eligible(t)])}
 
 
 def _co_reachable(lts: AugmentedLTS, goal: frozenset[str],
                   reactive: bool = False) -> dict[str, int]:
     """Fewest steps (non-blocking ones, when reactive) from each state to the
-    goal, by one reverse breadth-first walk; a state that cannot reach the
-    goal is absent."""
-    pred: dict[str, list[str]] = {s.id: [] for s in lts.states}
+    goal, by one breadth-first search over predecessors; a state that cannot
+    reach the goal is absent."""
+    pred: dict[str, list] = {s.id: [] for s in lts.states}
     for s in lts.states:
         for t in lts.outgoing(s.id, reactive):
-            pred[t.target].append(t.source)
-    dist = dict.fromkeys(goal, 0)
-    layer = list(goal)
-    while layer:
-        nxt = []
-        for s in layer:
-            for p in pred.get(s, ()):
-                if p not in dist:
-                    dist[p] = dist[s] + 1
-                    nxt.append(p)
-        layer = nxt
-    return dist
+            pred[t.target].append((t.id, t.source))
+    return {s: len(steps) for s, _, steps in _bfs(goal, lambda s: pred.get(s, ()))}
 
 
 def agef(lts: AugmentedLTS, goal: frozenset[str], reactive: bool = False) -> bool:
@@ -176,22 +175,9 @@ def _region(lts: AugmentedLTS, goal: frozenset[str]) -> _Region:
 
 
 def _shortest(starts: list, moves, done):
-    """Breadth-first search from the `starts` nodes; moves(node) yields
-    (transition id, next node) pairs.  Returns (start, steps) for the first
-    node in frontier order that is `done` when dequeued, or None."""
-    seen = set(starts)
-    frontier = [(node, node, ()) for node in starts]
-    while frontier:
-        nxt = []
-        for start, node, steps in frontier:
-            if done(node):
-                return (start, steps)
-            for tid, succ in moves(node):
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append((start, succ, steps + (tid,)))
-        frontier = nxt
-    return None
+    """(start, steps) for the first `done` node `_bfs` reaches, or None."""
+    return next(((start, steps) for node, start, steps in _bfs(starts, moves)
+                 if done(node)), None)
 
 
 def _stem_into(lts: AugmentedLTS, region: set[str], targets: set[str]):
@@ -284,8 +270,6 @@ def _covering_cycle(edges: list, entry: str):
         by_src.setdefault(t.source, []).append((t.id, t.target))
 
     def path(frm: str, to: str) -> tuple:
-        if frm == to:  # the usual case, e.g. after a self-loop: skip the search's setup
-            return ()
         return _shortest([frm], lambda v: by_src.get(v, ()), to.__eq__)[1]
 
     walk: list = []

@@ -92,6 +92,10 @@ def test_fairness_formulas_on_mutex_m_cycle():
     # both agree with the direct classifier
     assert classify_lasso(lts, base, Assumption("W", "custom", lts.tasks["LM"]))
     assert not classify_lasso(lts, base, Assumption("S", "custom", lts.tasks["LM"]))
+    # no task owes anything: both formulas are the empty conjunction, true
+    empty = TaskSet("custom", ())
+    assert weak_fairness_formula(empty) == strong_fairness_formula(empty) == Formula("true")
+    assert eval_ltl(conv, lasso, weak_fairness_formula(empty))
 
 
 def test_fg_gf_equivalence_on_random_lassos():
