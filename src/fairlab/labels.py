@@ -53,7 +53,8 @@ TAU = ActionLabel("tau")
 
 
 def parse_label(text: str) -> ActionLabel:
-    """Parse a label string: ``a``, ``'a``, ``tau``, ``b#3``, ``'b#3``."""
+    """Parse a label string: ``a``, ``'a``, ``tau``, ``b#3``, ``'b#3``.
+    Tau has no co-name and no index, so ``'tau`` and ``tau#3`` are bad."""
     s = text.strip()
     if s == "tau":
         return TAU
@@ -61,7 +62,7 @@ def parse_label(text: str) -> ActionLabel:
     if co:
         s = s[1:]
     base, sep, idx = s.partition("#")
-    if not base or not base[0].islower() or not base.isidentifier():
+    if not base or not base[0].islower() or not base.isidentifier() or base == "tau":
         raise LabelError(f"bad label {text!r}")
     if sep:
         if not idx.isdigit():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .labels import ActionLabel, parse_label
 from .parser import parse_expression, state_parser
@@ -290,6 +290,18 @@ def _list_of(value, kind: type, what: str) -> list:
     return value
 
 
+def _string_set(t: dict, key: str, sets: dict) -> frozenset[str] | None:
+    """Transition field `key` as a frozenset, or None when absent or null: `sets`
+    maps None to None and each list of strings met so far, as a tuple, to one."""
+    value = t.get(key)
+    try:
+        return sets[tuple(value) if isinstance(value, list) else value]
+    except (KeyError, TypeError):  # not met yet, or not a list of strings
+        pass
+    items = tuple(_list_of(value, str, f"transition {t['id']} field {key!r}"))
+    return sets.setdefault(items, frozenset(items))
+
+
 def read_tasks(entries) -> tuple[Task, ...]:
     """Tasks from a [{"name": n, "members": [transition id, ...]}] list."""
     if not isinstance(entries, list):
@@ -304,22 +316,33 @@ def read_tasks(entries) -> tuple[Task, ...]:
 
 
 def save_lts(lts: AugmentedLTS) -> str:
-    doc = {
-        "states": [{"id": s.id, **({"expr": s.expr} if s.expr is not None else {})}
-                   for s in lts.states],
-        "transitions": [
-            {"id": t.id, "source": t.source, "target": t.target, "label": str(t.label),
-             **({"instr": sorted(t.instr)} if t.instr is not None else {}),
-             **({"comp": sorted(t.comp)} if t.comp is not None else {}),
-             "blocking": t.blocking}
-            for t in lts.transitions],
+    """`json.dumps(doc, indent=2)` of the system and a newline, with the states and
+    transitions laid out here, since CPython's indenting encoder is pure Python."""
+    q = json.encoder.encode_basestring_ascii  # json.dumps's C encoder of each string
+    annotations = {  # instr and comp once per distinct pair; no encoded string holds "\n"
+        pair: "".join(f'      "{key}": ' + json.dumps(sorted(value), indent=2).replace(
+            "\n", "\n      ") + ",\n" for key, value in zip(("instr", "comp"), pair)
+            if value is not None)
+        for pair in {(t.instr, t.comp) for t in lts.transitions}}
+    states = [f'    {{\n      "id": {q(s.id)}'
+              + ("" if s.expr is None else f',\n      "expr": {q(s.expr)}') + "\n    }"
+              for s in lts.states]
+    transitions = [
+        f'    {{\n      "id": {q(t.id)},\n      "source": {q(t.source)},\n'
+        f'      "target": {q(t.target)},\n      "label": {q(str(t.label))},\n'
+        f'{annotations[t.instr, t.comp]}'
+        f'      "blocking": {"true" if t.blocking else "false"}\n    }}'
+        for t in lts.transitions]
+    tail = json.dumps({
         "initial": list(lts.initial),
         "goals": {name: _goal_to_json(g) for name, g in sorted(lts.goals.items())},
         "tasks": {name: ts.to_json() for name, ts in sorted(lts.tasks.items())},
         "origin": lts.origin,
         "truncated": lts.truncated,
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    }, indent=2)  # "{\n" and then the fields, already one level in
+    return ('{\n  "states": [\n' + ",\n".join(states) + '\n  ],\n  "transitions": '
+            + ("[\n" + ",\n".join(transitions) + "\n  ]" if transitions else "[]")
+            + ",\n" + tail[2:] + "\n")
 
 
 def load_lts(document: str) -> AugmentedLTS:
@@ -334,17 +357,15 @@ def load_lts(document: str) -> AugmentedLTS:
         if not isinstance(s["id"], str) or not isinstance(s.get("expr", ""), (str, type(None))):
             raise SchemaError('state fields "id" and "expr" must be strings')
         states.append(State(s["id"], s.get("expr")))
-    transitions = []
+    transitions, label_of, sets = [], cache(parse_label), {None: None}  # one parse per label
     for t in _list_of(doc["transitions"], dict, '"transitions"'):
         for key in ("id", "source", "target", "label"):
             if key not in t:
                 raise SchemaError(f"transition missing field {key!r}")
             if not isinstance(t[key], str):
                 raise SchemaError(f"transition field {key!r} must be a string")
-        label = parse_label(t["label"])
-        instr, comp = (None if t.get(key) is None else
-                       frozenset(_list_of(t[key], str, f"transition {t['id']} field {key!r}"))
-                       for key in ("instr", "comp"))
+        label = label_of(t["label"])
+        instr, comp = _string_set(t, "instr", sets), _string_set(t, "comp", sets)
         blocking = t.get("blocking", not label.is_tau)
         if not isinstance(blocking, bool):
             raise SchemaError(f"transition {t['id']} field 'blocking' must be true or false")

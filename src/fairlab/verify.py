@@ -53,26 +53,27 @@ def _tid_key(t) -> tuple[int, str]:
 
 def _bfs(starts, moves):
     """Breadth-first search from the `starts` nodes; moves(node) yields
-    (transition id, next node) pairs.  Yields (node, start, steps) once for
-    each node reached, in frontier order, where steps lead from start."""
-    frontier = [(node, node, ()) for node in dict.fromkeys(starts)]
+    (transition id, next node) pairs.  Yields (node, start, depth, back) once
+    for each node reached, in frontier order: the steps from start are depth
+    long, and back links them last first, as (tid, back) pairs ending in ()."""
+    frontier, depth = [(node, node, ()) for node in dict.fromkeys(starts)], 0
     seen = {node for node, _, _ in frontier}
     while frontier:
         nxt = []
-        for node, start, steps in frontier:
-            yield node, start, steps
+        for node, start, back in frontier:
+            yield node, start, depth, back
             for tid, succ in moves(node):
                 if succ not in seen:
                     seen.add(succ)
-                    nxt.append((succ, start, steps + (tid,)))
-        frontier = nxt
+                    nxt.append((succ, start, (tid, back)))
+        frontier, depth = nxt, depth + 1
 
 
 def reachable_states(lts: AugmentedLTS, frm: set[str] | None = None,
                      eligible=None) -> set[str]:
-    return {s for s, _, _ in _bfs(lts.initial if frm is None else frm,
-                                  lambda s: [(t.id, t.target) for t in lts.outgoing(s)
-                                             if eligible is None or eligible(t)])}
+    return {s for s, _, _, _ in _bfs(lts.initial if frm is None else frm,
+                                     lambda s: [(t.id, t.target) for t in lts.outgoing(s)
+                                                if eligible is None or eligible(t)])}
 
 
 def _co_reachable(lts: AugmentedLTS, goal: frozenset[str],
@@ -84,7 +85,7 @@ def _co_reachable(lts: AugmentedLTS, goal: frozenset[str],
     for s in lts.states:
         for t in lts.outgoing(s.id, reactive):
             pred[t.target].append((t.id, t.source))
-    return {s: len(steps) for s, _, steps in _bfs(goal, lambda s: pred.get(s, ()))}
+    return {s: depth for s, _, depth, _ in _bfs(goal, lambda s: pred.get(s, ()))}
 
 
 def agef(lts: AugmentedLTS, goal: frozenset[str], reactive: bool = False) -> bool:
@@ -176,8 +177,14 @@ def _region(lts: AugmentedLTS, goal: frozenset[str]) -> _Region:
 
 def _shortest(starts: list, moves, done):
     """(start, steps) for the first `done` node `_bfs` reaches, or None."""
-    return next(((start, steps) for node, start, steps in _bfs(starts, moves)
-                 if done(node)), None)
+    for node, start, _, back in _bfs(starts, moves):
+        if done(node):
+            steps = []
+            while back:
+                tid, back = back
+                steps.append(tid)
+            return start, tuple(reversed(steps))
+    return None
 
 
 def _stem_into(lts: AugmentedLTS, region: set[str], targets: set[str]):

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import random
 from importlib import resources
 
 import pytest
 
-from families import _grid, _ring
+from families import _grid, _ring, random_lts
 
+from fairlab.cli import main
 from fairlab.corpus import build, corpus_entries
-from fairlab.lts import (AnnotationError, GoalSpec, SchemaError, concurrent,
-                         from_exploration, goal_states, load_lts,
-                         save_lts, validate_side_conditions)
+from fairlab.labels import LabelError, parse_label
+from fairlab.lts import (AnnotationError, AugmentedLTS, GoalPredicate, GoalSpec, SchemaError,
+                         State, Task, TaskSet, Transition, concurrent, from_exploration,
+                         goal_states, load_lts, save_lts, validate_side_conditions)
 from fairlab import lts as lts_module, parser, paths, verify
 from fairlab.parser import parse_ccs
 from fairlab.paths import parse_assumption
@@ -312,3 +316,143 @@ def test_side_conditions_on_a_component_nested_600_deep():
     source = "X | Y where X = " + " + ".join(f"a{i}.X" for i in range(600)) + ", Y = b.0"
     reports = validate_side_conditions(from_exploration(explore(parse_ccs(source))))
     assert all(r.holds for r in reports)
+
+
+def _stdlib_text(lts) -> str:
+    """The oracle of `save_lts`: the stdlib's indenting encoder over the
+    system as a dict, field by field as the file format names them."""
+    doc = {
+        "states": [{"id": s.id, **({"expr": s.expr} if s.expr is not None else {})}
+                   for s in lts.states],
+        "transitions": [
+            {"id": t.id, "source": t.source, "target": t.target, "label": str(t.label),
+             **({"instr": sorted(t.instr)} if t.instr is not None else {}),
+             **({"comp": sorted(t.comp)} if t.comp is not None else {}),
+             "blocking": t.blocking}
+            for t in lts.transitions],
+        "initial": list(lts.initial),
+        "goals": {name: {"disjuncts": [
+            {"kind": "explicit", "states": sorted(d.states)} if d.kind == "explicit"
+            else {"kind": "state_is", "expr": d.expr} if d.kind == "state_is"
+            else {"kind": "component_at", "path": d.path, "expr": d.expr}
+            for d in g.disjuncts]} for name, g in sorted(lts.goals.items())},
+        "tasks": {name: {"notion": ts.notion, "tasks": [
+            {"name": t.name, "members": sorted(t.members)} for t in ts.tasks]}
+            for name, ts in sorted(lts.tasks.items())},
+        "origin": lts.origin,
+        "truncated": lts.truncated,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# a quote, a backslash, control characters, non-ASCII, a non-BMP character,
+# the line and paragraph separators and lone surrogates
+_ODD = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f\t\n\r", "caf\xe9 \u03bb",
+        "\U0001f600", "line\u2028para\u2029", "lone\ud800", "\udfff", ""]
+
+
+def _odd_system() -> AugmentedLTS:
+    states = [State(f"s{w}", w) for w in _ODD] + [State("bare", None)]
+    ids = [s.id for s in states]
+    steps = [Transition(f"t{w}", ids[k], ids[-1 - k], parse_label(label),
+                        None if k % 4 == 3 else frozenset(_ODD[k:k + 3]),
+                        None if k % 5 == 4 else frozenset(_ODD[-k - 2:]), k % 2 == 0)
+             for k, (w, label) in enumerate(zip(_ODD, ["a", "'b#2", "tau", "c#0"] * 3))]
+    goals = {w: GoalSpec((GoalPredicate("explicit", states=frozenset(ids[:k])),
+                          GoalPredicate("state_is", expr=w),
+                          GoalPredicate("component_at", expr=w, path="LRL"[:k % 4])))
+             for k, w in enumerate(_ODD)}
+    tasks = {w: TaskSet(w, (Task(w, frozenset(t.id for t in steps[k:])),
+                            Task(f"none{w}", frozenset())))
+             for k, w in enumerate(_ODD)}
+    return AugmentedLTS(states, steps, [ids[1], ids[0]], goals, tasks, origin="ccs",
+                        truncated=True)
+
+
+def test_save_writes_the_bytes_of_the_stdlib_indenting_encoder():
+    """`save_lts` lays its text out by hand; it must be, byte for byte, what
+    `json.dumps(doc, indent=2)` writes, on fresh and reloaded systems."""
+    systems = [build(entry).lts for entry in corpus_entries()]
+    rng = random.Random(3101)
+    systems += [random_lts(rng, states=(1, 5), transitions=(0, 8), instr_sizes=(0, 2),
+                           instr_missing=0.3, comp_sizes=(0, 2), comp_missing=0.3,
+                           initial=3, truncated=0.3) for _ in range(400)]
+    systems += [_odd_system(), AugmentedLTS([State("only", None)], [], ["only"]),
+                AugmentedLTS([State("x", "0")], [], ["x"], origin="ccs")]
+    shapes = set()
+    for lts in systems:
+        text = save_lts(lts)
+        assert text == _stdlib_text(lts)
+        again = load_lts(text)
+        assert save_lts(again) == _stdlib_text(again) == text
+        shapes |= {(t.instr is None, t.comp is None, bool(t.instr), t.blocking)
+                   for t in lts.transitions}
+    assert len(shapes) >= 8  # missing, empty and filled annotations, both flags
+    assert any(lts.truncated for lts in systems) and not systems[-2].transitions
+
+
+def _doc(*transitions) -> str:
+    return json.dumps({"states": [{"id": "s"}], "transitions": [
+        {"id": f"t{k}", "source": "s", "target": "s", **t} for k, t in enumerate(transitions)],
+        "initial": ["s"]})
+
+
+_A = {"label": "a"}
+_NOT_STRINGS = "transition {} field {!r} must be a list of strings"
+
+
+@pytest.mark.parametrize("document, error, message", [
+    (_doc({**_A, "instr": "x"}), SchemaError, _NOT_STRINGS.format("t0", "instr")),
+    (_doc({**_A, "instr": [1]}), SchemaError, _NOT_STRINGS.format("t0", "instr")),
+    (_doc({**_A, "instr": {"x": ["y"]}}), SchemaError, _NOT_STRINGS.format("t0", "instr")),
+    # a string whose characters spell a list read before is still no list
+    (_doc({**_A, "instr": ["x"]}, {**_A, "instr": "x"}), SchemaError,
+     _NOT_STRINGS.format("t1", "instr")),
+    (_doc({**_A, "comp": ["L"]}, {**_A, "comp": [["L"]]}), SchemaError,
+     _NOT_STRINGS.format("t1", "comp")),
+    (_doc({**_A, "comp": ["L"]}, {**_A, "comp": ["L", 1]}), SchemaError,
+     _NOT_STRINGS.format("t1", "comp")),
+    (_doc({**_A, "instr": ["x"], "comp": 5}), SchemaError, _NOT_STRINGS.format("t0", "comp")),
+    # the label is read before the annotations, transition by transition
+    (_doc(_A, {"label": "B", "instr": 1}), LabelError, "bad label 'B'"),
+    (_doc(_A, {"label": "B"}, {"label": "B"}), LabelError, "bad label 'B'"),
+    (_doc({"label": "B"}, {**_A, "instr": 1}), LabelError, "bad label 'B'"),
+    (_doc({**_A, "instr": 1}, {"label": "B"}), SchemaError, _NOT_STRINGS.format("t0", "instr")),
+    (_doc({"label": "b#x"}), LabelError, "bad label index in 'b#x'"),
+    (_doc({**_A, "blocking": "yes"}), SchemaError,
+     "transition t0 field 'blocking' must be true or false"),
+])
+def test_load_errors_keep_their_text_and_order(document, error, message):
+    with pytest.raises(error) as caught:
+        load_lts(document)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_null_annotations_load_as_absent():
+    lts = load_lts(_doc({**_A, "comp": None, "instr": None}, {**_A, "comp": []}))
+    assert [(t.instr, t.comp) for t in lts.transitions] == [(None, None), (None, frozenset())]
+
+
+def test_corpus_labels_load_as_parse_label_reads_them():
+    data = resources.files("fairlab") / "corpus_data"
+    texts = [(data / e.source).read_text() for e in corpus_entries() if e.kind == "lts"]
+    assert len(texts) >= 6
+    for text in texts:
+        raw, lts = json.loads(text), load_lts(text)
+        for t, loaded in zip(raw["transitions"], lts.transitions, strict=True):
+            assert loaded.label == parse_label(t["label"])
+            for key in ("instr", "comp"):
+                want = None if t.get(key) is None else frozenset(t[key])
+                assert getattr(loaded, key) == want
+
+
+@pytest.mark.parametrize("text", ["'tau", "tau#1", "'tau#1", " 'tau#07 "])
+def test_tau_has_no_co_name_and_no_index(text, tmp_path, capsys):
+    with pytest.raises(LabelError, match=f"^bad label {text!r}$"):
+        parse_label(text)
+    with pytest.raises(LabelError, match=f"^bad label {text!r}$"):
+        load_lts(_doc(_A, {"label": text}))
+    path = tmp_path / "tau.json"
+    path.write_text(_doc(_A, {"label": text}))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: bad label {text!r}\n"
